@@ -742,7 +742,7 @@ let scaling_check () =
 
 (* --- serve-loop sustained throughput --------------------------------------- *)
 
-(* Sustained admissions/sec through the batched service path, with what-if
+(* Sustained requests/sec through the batched service path, with what-if
    queries and failure probes interleaved the way [drtp_sim serve] runs
    them.  Informational, never a gate: absolute throughput is machine-
    dependent, so CI greps the line into the archived bench log instead of
@@ -758,7 +758,7 @@ let serve_throughput () =
   in
   let r = Dr_exp.Serve_exp.run cfg params in
   Printf.printf
-    "# Serve-loop throughput (non-gating): admissions/sec=%.0f over %d \
+    "# Serve-loop throughput (non-gating): requests/sec=%.0f over %d \
      requests (accepted %d, %d what-ifs, %d probes)\n"
     r.Serve.rp_requests_per_sec r.Serve.rp_requests r.Serve.rp_accepted
     r.Serve.rp_what_ifs r.Serve.rp_fail_probes;

@@ -958,7 +958,8 @@ let serve_cmd =
        ~doc:
          "Drive a seeded open-loop request stream through the batched \
           admission service, with interleaved what-if queries and failure \
-          probes; reports sustained admissions/sec and latency quantiles.")
+          probes; reports sustained requests/sec, admissions/sec and latency \
+          quantiles.")
     Term.(
       const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t
       $ lambda_t ~default:0.4 $ scheme_t $ batch_t $ reorder_t

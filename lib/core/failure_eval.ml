@@ -24,49 +24,89 @@ let merge_results a b =
 
 let empty_result = { attempts = 0; successes = 0; edges_evaluated = 0; per_edge = [] }
 
-let evaluate_edge ?(spare_only = true) state ~edge =
-  let resources = Net_state.resources state in
-  let victims = Net_state.primaries_crossing_edge state edge in
-  let affected = List.length victims in
-  if affected = 0 then { edge; affected = 0; activated = 0 }
-  else begin
-    (* Per-link budget of simultaneous activation grants, in bandwidth
-       units.  Only links appearing in some victim's backup matter; keep
-       the budgets sparse. *)
-    let budget = Hashtbl.create 32 in
-    let budget_of l =
-      match Hashtbl.find_opt budget l with
-      | Some b -> b
-      | None ->
-          let b =
-            Resources.spare_bw resources l
-            + if spare_only then 0 else Resources.free resources l
-          in
-          Hashtbl.replace budget l b;
-          b
-    in
-    let activated = ref 0 in
-    (* Try a victim's backups in priority order; the first one that avoids
-       the failed edge and finds spare on every link wins. *)
-    let try_backup conn b =
-      if Path.crosses_edge b edge then false
-      else begin
-        let links = Path.links b in
-        if List.for_all (fun l -> budget_of l >= conn.Net_state.bw) links then begin
-          List.iter
-            (fun l -> Hashtbl.replace budget l (budget_of l - conn.Net_state.bw))
-            links;
-          true
+(* The one contention model every variant shares: victims in connection-id
+   order, each activating the first backup (in priority order) that avoids
+   the failure ([crosses] says whether a path touches a failed edge) and
+   fits the per-link budget of simultaneous grants, in bandwidth units.
+   Returns how many activated. *)
+let activate_greedy ~spare_only state ~crosses victims =
+  match victims with
+  | [] -> 0
+  | _ ->
+      let resources = Net_state.resources state in
+      (* Only links on some victim's backup matter; keep the budgets
+         sparse. *)
+      let budget = Hashtbl.create 32 in
+      let budget_of l =
+        match Hashtbl.find_opt budget l with
+        | Some b -> b
+        | None ->
+            let b =
+              Resources.spare_bw resources l
+              + if spare_only then 0 else Resources.free resources l
+            in
+            Hashtbl.replace budget l b;
+            b
+      in
+      let try_backup (conn : Net_state.conn) b =
+        if crosses b then false
+        else begin
+          let links = Path.links b in
+          if List.for_all (fun l -> budget_of l >= conn.bw) links then begin
+            List.iter
+              (fun l -> Hashtbl.replace budget l (budget_of l - conn.bw))
+              links;
+            true
+          end
+          else false
         end
-        else false
-      end
-    in
-    List.iter
-      (fun (conn : Net_state.conn) ->
-        if List.exists (try_backup conn) conn.backups then incr activated)
-      victims;
-    { edge; affected; activated = !activated }
-  end
+      in
+      List.fold_left
+        (fun n (conn : Net_state.conn) ->
+          if List.exists (try_backup conn) conn.backups then n + 1 else n)
+        0 victims
+
+(* The accumulator every whole-network sweep shares: [f] reports each
+   hypothetical failure's (affected, activated) through [count]; only
+   failures that hit a primary are evaluated. *)
+let sweep f =
+  let attempts = ref 0 and successes = ref 0 and evaluated = ref 0 in
+  let count affected activated =
+    if affected > 0 then begin
+      incr evaluated;
+      attempts := !attempts + affected;
+      successes := !successes + activated
+    end
+  in
+  f count;
+  {
+    attempts = !attempts;
+    successes = !successes;
+    edges_evaluated = !evaluated;
+    per_edge = [];
+  }
+
+let evaluate_edge ?(spare_only = true) state ~edge =
+  let victims = Net_state.primaries_crossing_edge state edge in
+  {
+    edge;
+    affected = List.length victims;
+    activated =
+      activate_greedy ~spare_only state
+        ~crosses:(fun b -> Path.crosses_edge b edge)
+        victims;
+  }
+
+let evaluate ?spare_only state =
+  let per_edge = ref [] in
+  let r =
+    sweep (fun count ->
+        Graph.iter_edges (Net_state.graph state) (fun edge ->
+            let o = evaluate_edge ?spare_only state ~edge in
+            count o.affected o.activated;
+            if o.affected > 0 then per_edge := o :: !per_edge))
+  in
+  { r with per_edge = List.rev !per_edge }
 
 type node_outcome = {
   node : int;
@@ -76,215 +116,65 @@ type node_outcome = {
 }
 
 let evaluate_node ?(spare_only = true) state ~node =
-  let graph = Net_state.graph state in
-  let resources = Net_state.resources state in
   let failed_edges =
-    Array.to_list (Graph.out_links graph node) |> List.map Graph.edge_of_link
+    Array.to_list (Graph.out_links (Net_state.graph state) node)
+    |> List.map Graph.edge_of_link
   in
-  let crosses_any p = List.exists (fun e -> Path.crosses_edge p e) failed_edges in
-  (* Victims: distinct connections whose primary crosses any incident
-     edge. *)
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      List.iter
-        (fun (c : Net_state.conn) -> Hashtbl.replace seen c.id c)
-        (Net_state.primaries_crossing_edge state e))
-    failed_edges;
-  let victims =
-    Hashtbl.fold (fun _ c acc -> c :: acc) seen []
-    |> List.sort (fun (a : Net_state.conn) b -> compare a.id b.id)
+  (* Connections terminating at the node are unrecoverable by any backup:
+     they are counted apart and never compete for spare. *)
+  let endpoint, transit =
+    Net_state.primaries_crossing_edges state ~edges:failed_edges
+    |> List.partition (fun (c : Net_state.conn) -> c.src = node || c.dst = node)
   in
-  let budget = Hashtbl.create 32 in
-  let budget_of l =
-    match Hashtbl.find_opt budget l with
-    | Some b -> b
-    | None ->
-        let b =
-          Resources.spare_bw resources l
-          + if spare_only then 0 else Resources.free resources l
-        in
-        Hashtbl.replace budget l b;
-        b
-  in
-  let transit_affected = ref 0 and transit_activated = ref 0 in
-  let endpoint_lost = ref 0 in
-  let try_backup (conn : Net_state.conn) b =
-    if crosses_any b then false
-    else begin
-      let links = Path.links b in
-      if List.for_all (fun l -> budget_of l >= conn.bw) links then begin
-        List.iter (fun l -> Hashtbl.replace budget l (budget_of l - conn.bw)) links;
-        true
-      end
-      else false
-    end
-  in
-  List.iter
-    (fun (conn : Net_state.conn) ->
-      if conn.src = node || conn.dst = node then incr endpoint_lost
-      else begin
-        incr transit_affected;
-        if List.exists (try_backup conn) conn.backups then incr transit_activated
-      end)
-    victims;
   {
     node;
-    transit_affected = !transit_affected;
-    transit_activated = !transit_activated;
-    endpoint_lost = !endpoint_lost;
+    transit_affected = List.length transit;
+    transit_activated =
+      activate_greedy ~spare_only state
+        ~crosses:(fun p -> List.exists (Path.crosses_edge p) failed_edges)
+        transit;
+    endpoint_lost = List.length endpoint;
   }
 
 let evaluate_nodes ?spare_only state =
-  let graph = Net_state.graph state in
-  let attempts = ref 0 and successes = ref 0 and evaluated = ref 0 in
-  for node = 0 to Graph.node_count graph - 1 do
-    let o = evaluate_node ?spare_only state ~node in
-    if o.transit_affected > 0 then begin
-      incr evaluated;
-      attempts := !attempts + o.transit_affected;
-      successes := !successes + o.transit_activated
-    end
-  done;
-  {
-    attempts = !attempts;
-    successes = !successes;
-    edges_evaluated = !evaluated;
-    per_edge = [];
-  }
-
-type pair_outcome = { edges : int * int; affected : int; activated : int }
-
-let evaluate_edge_pair ?(spare_only = true) state ~edges:(e1, e2) =
-  let resources = Net_state.resources state in
-  let crosses p = Path.crosses_edge p e1 || Path.crosses_edge p e2 in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      List.iter
-        (fun (c : Net_state.conn) -> Hashtbl.replace seen c.id c)
-        (Net_state.primaries_crossing_edge state e))
-    [ e1; e2 ];
-  let victims =
-    Hashtbl.fold (fun _ c acc -> c :: acc) seen []
-    |> List.sort (fun (a : Net_state.conn) b -> compare a.id b.id)
-  in
-  let budget = Hashtbl.create 32 in
-  let budget_of l =
-    match Hashtbl.find_opt budget l with
-    | Some b -> b
-    | None ->
-        let b =
-          Resources.spare_bw resources l
-          + if spare_only then 0 else Resources.free resources l
-        in
-        Hashtbl.replace budget l b;
-        b
-  in
-  let activated = ref 0 in
-  let try_backup (conn : Net_state.conn) b =
-    if crosses b then false
-    else begin
-      let links = Path.links b in
-      if List.for_all (fun l -> budget_of l >= conn.bw) links then begin
-        List.iter (fun l -> Hashtbl.replace budget l (budget_of l - conn.bw)) links;
-        true
-      end
-      else false
-    end
-  in
-  List.iter
-    (fun (conn : Net_state.conn) ->
-      if List.exists (try_backup conn) conn.backups then incr activated)
-    victims;
-  { edges = (e1, e2); affected = List.length victims; activated = !activated }
-
-let evaluate_double ?spare_only ?(samples = 200) ?(seed = 1) state =
-  let graph = Net_state.graph state in
-  let edge_count = Graph.edge_count graph in
-  if edge_count < 2 then invalid_arg "Failure_eval.evaluate_double: need >= 2 edges";
-  let rng = Dr_rng.Splitmix64.create seed in
-  let attempts = ref 0 and successes = ref 0 and evaluated = ref 0 in
-  for _ = 1 to samples do
-    let e1, e2 = Dr_rng.Dist.pick_distinct_pair rng edge_count in
-    let o = evaluate_edge_pair ?spare_only state ~edges:(e1, e2) in
-    if o.affected > 0 then begin
-      incr evaluated;
-      attempts := !attempts + o.affected;
-      successes := !successes + o.activated
-    end
-  done;
-  {
-    attempts = !attempts;
-    successes = !successes;
-    edges_evaluated = !evaluated;
-    per_edge = [];
-  }
-
-let evaluate ?spare_only state =
-  let graph = Net_state.graph state in
-  let attempts = ref 0 and successes = ref 0 and evaluated = ref 0 in
-  let per_edge = ref [] in
-  Graph.iter_edges graph (fun e ->
-      let outcome = evaluate_edge ?spare_only state ~edge:e in
-      if outcome.affected > 0 then begin
-        incr evaluated;
-        attempts := !attempts + outcome.affected;
-        successes := !successes + outcome.activated;
-        per_edge := outcome :: !per_edge
-      end);
-  {
-    attempts = !attempts;
-    successes = !successes;
-    edges_evaluated = !evaluated;
-    per_edge = List.rev !per_edge;
-  }
+  sweep (fun count ->
+      for node = 0 to Graph.node_count (Net_state.graph state) - 1 do
+        let o = evaluate_node ?spare_only state ~node in
+        count o.transit_affected o.transit_activated
+      done)
 
 (* ---- correlated (SRLG / regional) failures ------------------------------- *)
 
-(* Shared core: fail a whole edge set at once.  Victims are primaries
-   crossing any member; a backup must avoid every member and win its
-   bandwidth on all links, greedily in connection-id order — the same
-   contention model as the single-edge evaluation. *)
 let evaluate_edges ?(spare_only = true) state ~edges =
-  let resources = Net_state.resources state in
-  let in_set = Hashtbl.create 8 in
-  List.iter (fun e -> Hashtbl.replace in_set e ()) edges;
-  let crosses_any p =
-    List.exists
-      (fun l -> Hashtbl.mem in_set (Graph.edge_of_link l))
-      (Path.links p)
+  let failed =
+    Array.make (Graph.edge_count (Net_state.graph state)) false
   in
+  List.iter (fun e -> failed.(e) <- true) edges;
   let victims = Net_state.primaries_crossing_edges state ~edges in
-  let budget = Hashtbl.create 32 in
-  let budget_of l =
-    match Hashtbl.find_opt budget l with
-    | Some b -> b
-    | None ->
-        let b =
-          Resources.spare_bw resources l
-          + if spare_only then 0 else Resources.free resources l
+  ( List.length victims,
+    activate_greedy ~spare_only state
+      ~crosses:(fun p ->
+        List.exists (fun l -> failed.(Graph.edge_of_link l)) (Path.links p))
+      victims )
+
+type pair_outcome = { edges : int * int; affected : int; activated : int }
+
+let evaluate_edge_pair ?spare_only state ~edges:(e1, e2) =
+  let affected, activated = evaluate_edges ?spare_only state ~edges:[ e1; e2 ] in
+  { edges = (e1, e2); affected; activated }
+
+let evaluate_double ?spare_only ?(samples = 200) ?(seed = 1) state =
+  let edge_count = Graph.edge_count (Net_state.graph state) in
+  if edge_count < 2 then invalid_arg "Failure_eval.evaluate_double: need >= 2 edges";
+  let rng = Dr_rng.Splitmix64.create seed in
+  sweep (fun count ->
+      for _ = 1 to samples do
+        let e1, e2 = Dr_rng.Dist.pick_distinct_pair rng edge_count in
+        let affected, activated =
+          evaluate_edges ?spare_only state ~edges:[ e1; e2 ]
         in
-        Hashtbl.replace budget l b;
-        b
-  in
-  let activated = ref 0 in
-  let try_backup (conn : Net_state.conn) b =
-    if crosses_any b then false
-    else begin
-      let links = Path.links b in
-      if List.for_all (fun l -> budget_of l >= conn.bw) links then begin
-        List.iter (fun l -> Hashtbl.replace budget l (budget_of l - conn.bw)) links;
-        true
-      end
-      else false
-    end
-  in
-  List.iter
-    (fun (conn : Net_state.conn) ->
-      if List.exists (try_backup conn) conn.backups then incr activated)
-    victims;
-  (List.length victims, !activated)
+        count affected activated
+      done)
 
 type group_outcome = { group : int; affected : int; activated : int }
 
@@ -295,22 +185,11 @@ let evaluate_group ?spare_only state ~group =
   { group; affected; activated }
 
 let evaluate_srlg ?spare_only state =
-  let srlg = Net_state.srlg state in
-  let attempts = ref 0 and successes = ref 0 and evaluated = ref 0 in
-  for g = 0 to Dr_resilience.Srlg.group_count srlg - 1 do
-    let o = evaluate_group ?spare_only state ~group:g in
-    if o.affected > 0 then begin
-      incr evaluated;
-      attempts := !attempts + o.affected;
-      successes := !successes + o.activated
-    end
-  done;
-  {
-    attempts = !attempts;
-    successes = !successes;
-    edges_evaluated = !evaluated;
-    per_edge = [];
-  }
+  sweep (fun count ->
+      for group = 0 to Dr_resilience.Srlg.group_count (Net_state.srlg state) - 1 do
+        let o = evaluate_group ?spare_only state ~group in
+        count o.affected o.activated
+      done)
 
 let evaluate_regional ?spare_only ?(samples = 200) ?(seed = 1) state ~radius =
   if radius <= 0.0 then
@@ -327,28 +206,16 @@ let evaluate_regional ?spare_only ?(samples = 200) ?(seed = 1) state ~radius =
             ((ux +. vx) /. 2.0, (uy +. vy) /. 2.0))
       in
       let rng = Dr_rng.Splitmix64.create seed in
-      let attempts = ref 0 and successes = ref 0 and evaluated = ref 0 in
-      for _ = 1 to samples do
-        let cx = Dr_rng.Splitmix64.float rng 1.0
-        and cy = Dr_rng.Splitmix64.float rng 1.0 in
-        let hit = ref [] in
-        for e = edge_count - 1 downto 0 do
-          let mx, my = midpoints.(e) in
-          let dx = mx -. cx and dy = my -. cy in
-          if (dx *. dx) +. (dy *. dy) <= radius *. radius then hit := e :: !hit
-        done;
-        if !hit <> [] then begin
-          let affected, activated = evaluate_edges ?spare_only state ~edges:!hit in
-          if affected > 0 then begin
-            incr evaluated;
-            attempts := !attempts + affected;
-            successes := !successes + activated
-          end
-        end
-      done;
-      {
-        attempts = !attempts;
-        successes = !successes;
-        edges_evaluated = !evaluated;
-        per_edge = [];
-      }
+      sweep (fun count ->
+          for _ = 1 to samples do
+            let cx = Dr_rng.Splitmix64.float rng 1.0
+            and cy = Dr_rng.Splitmix64.float rng 1.0 in
+            let hit = ref [] in
+            for e = edge_count - 1 downto 0 do
+              let mx, my = midpoints.(e) in
+              let dx = mx -. cx and dy = my -. cy in
+              if (dx *. dx) +. (dy *. dy) <= radius *. radius then hit := e :: !hit
+            done;
+            let affected, activated = evaluate_edges ?spare_only state ~edges:!hit in
+            count affected activated
+          done)

@@ -17,6 +17,12 @@
       fallback), the later ones lose, exactly the contention the routing
       schemes try to design away.
 
+    This is the one contention model: every variant below — single edge,
+    node, edge pair, edge set, SRLG group, regional disc — runs the same
+    greedy activation, and they differ only in their victims and in which
+    edges count as failed.  The whole-network sweeps share one
+    accumulator: a failure that disables no primary is not evaluated.
+
     The evaluation is hypothetical: it never mutates the state, so it can
     be run on periodic snapshots during a scenario replay. *)
 
@@ -93,8 +99,7 @@ type pair_outcome = { edges : int * int; affected : int; activated : int }
 
 val evaluate_edge_pair :
   ?spare_only:bool -> Net_state.t -> edges:int * int -> pair_outcome
-(** Fail two edges at once: victims are primaries crossing either; a
-    backup must avoid both and win spare on all its links. *)
+(** Fail two edges at once: {!evaluate_edges} [[e1; e2]]. *)
 
 val evaluate_double :
   ?spare_only:bool ->

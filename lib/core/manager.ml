@@ -49,7 +49,6 @@ let default_reprotect_router scheme state ~primary ~bw ~existing ~count =
 
 let chain_reprotect_router scheme state ~primary ~bw ~existing ~count =
   Routing.additional_chain_members scheme state ~primary ~bw ~existing ~count
-  |> List.map (fun m -> m.Routing.cm_path)
 
 type t = {
   state : Net_state.t;

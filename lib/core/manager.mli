@@ -164,7 +164,7 @@ val default_reprotect_router : reprotect_router
     default for every manager. *)
 
 val chain_reprotect_router : reprotect_router
-(** {!Routing.additional_chain_members} (paths only): replacements are
+(** {!Routing.additional_chain_members}: replacements are
     SRLG-disjoint from the primary where feasible.  With a singleton
     model this selects exactly the same routes as the default. *)
 

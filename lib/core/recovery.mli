@@ -58,11 +58,11 @@ val outcome_is_recovered : outcome -> bool
 
 type report = {
   edge : int;
-      (** the failed edge ([fail_group_drtp]: the group's first member
-          edge, or -1 for an empty group) *)
+      (** the failed edge (edge sets and groups: the first member edge,
+          or -1 for an empty set) *)
   failed_edges : int list;
       (** every edge this event took down — [[edge]] for the single-edge
-          entry points, the group's member list for {!fail_group_drtp} *)
+          entry points, the edge set or group members otherwise *)
   outcomes : (int * outcome) list;  (** per affected connection id *)
   backups_rerouted : int;
       (** unaffected connections whose backup crossed the failed edge and
@@ -91,25 +91,14 @@ val fail_edge_drtp :
   edge:int ->
   unit ->
   report
-(** Fail an edge under DRTP: detect, report, switch every affected
-    connection to its highest-priority usable backup (in connection-id
-    order — concurrent activations contend for spare bandwidth exactly as
-    in {!Failure_eval}), then reconfigure ([reconfigure] defaults to
-    [true]): promoted connections and connections whose backups died are
-    topped back up to [backup_count] (default 1) backups where routes
-    exist.  The edge is left marked failed; call
-    {!Net_state.restore_edge} to repair it.
-
-    With a [faults] plan installed, failure reports and activation signals
-    are subject to loss: each lost copy is retransmitted after a doubling
-    timeout ([retrans], default {!default_retrans}), and the slept backoff
-    time is added to the phase that spent it.  A report whose
-    retransmissions are exhausted falls back to a reactive reroute (the
-    source only learns of the failure by timeout); an activation signal
-    whose retransmissions are exhausted falls through to the next usable
-    backup, and past the last backup to the reactive fallback.  With no
-    plan — or a {!Dr_faults.Faults.zero_spec} plan — behaviour, latencies
-    and journal output are bit-identical to the lossless code path. *)
+(** Fail one edge under DRTP — the paper's failure model.  This is
+    {!fail_edges_drtp} [~edges:[edge]] (a one-member SRLG), journalled as
+    [failure-detected] instead of [group-failed], with no
+    [chain-failover]/[chain-exhausted] records and no
+    [recovery.group.failures]/[recovery.chain.*] counts.  Reconfiguration
+    under the default singleton SRLG model picks the same replacement
+    routes as {!Routing.additional_backups}.  The edge is left failed;
+    call {!Net_state.restore_edge} to repair it. *)
 
 val fail_edges_drtp :
   Net_state.t ->
@@ -123,14 +112,42 @@ val fail_edges_drtp :
   edges:int list ->
   unit ->
   report
-(** Fail an arbitrary edge set as one correlated event — the core
-    {!fail_group_drtp} delegates to.  With [group] the set is failed as
-    that SRLG (via {!Net_state.fail_group}); without it — regional bursts
-    from {!Dr_resilience.Srlg.regional_schedule} carry no group identity —
+(** Fail an edge set as one event under DRTP.  The node at the failed
+    primary hop nearest the source detects and reports; each victim —
+    a connection whose primary crosses {e any} failed edge — switches to
+    its highest-priority backup that avoids every failed edge and can get
+    its bandwidth, in connection-id order, so concurrent activations
+    contend for spare exactly as in {!Failure_eval}.  A victim with no
+    such backup (none survives, e.g. the set partitions the topology, or
+    none can get bandwidth) is reported [Lost], never an exception.
+
+    Then, unless [reconfigure] is [false] (default [true]), step 4 tops
+    promoted connections and connections whose backups died back up to
+    [backup_count] (default 1) backups with
+    {!Routing.additional_chain_members}, so replacements avoid the
+    still-failed edges' SRLGs.  A surviving backup that can no longer be
+    hosted — an earlier victim's activation may have turned the spare it
+    needs into prime — is dropped ({!Net_state.replace_backups_drop}),
+    and a connection left with no backup is listed in [unprotected_ids].
+
+    With a [faults] plan installed, failure reports and activation signals
+    are subject to loss: each lost copy is retransmitted after a doubling
+    timeout ([retrans], default {!default_retrans}), and the slept backoff
+    time is added to the phase that spent it.  A report whose
+    retransmissions are exhausted falls back to a reactive reroute (the
+    source only learns of the failure by timeout); an activation signal
+    whose retransmissions are exhausted falls through to the next usable
+    backup, and past the last backup to the reactive fallback.  With no
+    plan — or a {!Dr_faults.Faults.zero_spec} plan — behaviour, latencies
+    and journal output are bit-identical to the lossless code path.
+
+    With [group] the set is failed as that SRLG (via
+    {!Net_state.fail_group}); without it — regional bursts from
+    {!Dr_resilience.Srlg.regional_schedule} carry no group identity —
     each edge is failed individually (restore with
     {!Net_state.restore_edge}) and the [group-failed] journal record
-    carries group [-1].  Failover, fallback, timing and reconfiguration
-    semantics are exactly those of {!fail_group_drtp}. *)
+    carries group [-1].  Journal kinds [group-failed], [chain-failover]
+    and [chain-exhausted] trace the walk down each victim's backups. *)
 
 val fail_group_drtp :
   Net_state.t ->
@@ -143,19 +160,9 @@ val fail_group_drtp :
   group:int ->
   unit ->
   report
-(** Fail a whole shared-risk group (correlated failure) under DRTP: every
-    member edge goes down as one event, victims are the connections whose
-    primary crosses {e any} member, and each victim fails over down its
-    backup chain in priority order to the first member that survives the
-    entire group and can get its bandwidth.  A victim whose chain is
-    exhausted (no member survives — e.g. the group partitions the
-    topology — or none can get bandwidth) is reported [Lost], never an
-    exception; journal kinds [group-failed], [chain-failover] and
-    [chain-exhausted] trace the walk.  Reconfiguration (step 4) tops
-    chains back up to [backup_count] members with
-    {!Routing.additional_chain_members}, so replacements avoid the
-    still-failed group's SRLGs.  The group is left failed; restore with
-    {!Net_state.restore_group}. *)
+(** {!fail_edges_drtp} over a whole shared-risk group's member edges,
+    failed and journalled as that group.  The group is left failed;
+    restore with {!Net_state.restore_group}. *)
 
 val fail_edge_reactive :
   Net_state.t -> ?timing:timing -> edge:int -> unit -> report

@@ -436,11 +436,14 @@ let additional_backups ?max_hops scheme state ~primary ~bw ~existing ~count =
 
 type chain_member = { cm_path : Path.t; cm_rank : int; cm_disjoint : bool }
 
-(* Post-hoc disjointness flags for a singleton-model chain: member i is
-   disjoint when it shares no failure group with the primary, the existing
-   backups, or any earlier member.  (With singleton groups that's plain
-   edge-disjointness.) *)
-let chain_disjoint_flags srlg ~primary ~existing paths =
+(* Disjointness flags for a chain: member i is disjoint when it shares no
+   failure group with the primary or any earlier member.  (With singleton
+   groups that's plain edge-disjointness.)  Under a non-singleton model
+   the flag marks exactly the strict-pass hits of the search below: a
+   strict hit avoids every banned group, and a fallback member shares
+   one, since any fully disjoint route would have survived the strict
+   pass. *)
+let chain_disjoint_flags srlg ~primary paths =
   let seen = ref Path.Link_set.empty in
   let add p =
     Path.Link_set.iter
@@ -451,7 +454,6 @@ let chain_disjoint_flags srlg ~primary ~existing paths =
       (Path.edge_set p)
   in
   add primary;
-  List.iter add existing;
   List.map
     (fun p ->
       let disjoint =
@@ -466,18 +468,14 @@ let chain_disjoint_flags srlg ~primary ~existing paths =
       (p, disjoint))
     paths
 
-let collect_chain ?max_hops scheme state ~primary ~bw ~count ~existing =
+let additional_chain_members ?max_hops scheme state ~primary ~bw ~existing
+    ~count =
   let srlg = Net_state.srlg state in
-  let base_rank = List.length existing in
   if Srlg.is_singleton srlg then
     (* Bit-identity by construction: with singleton groups the chain is
        exactly the multi-backup selection the soft Q-penalised search
-       produces (the k=1 golden-fixture gate depends on this), with
-       disjointness recovered post hoc. *)
+       produces (the k=1 golden-fixture gate depends on this). *)
     collect_backups ?max_hops scheme state ~primary ~bw ~count ~existing
-    |> chain_disjoint_flags srlg ~primary ~existing
-    |> List.mapi (fun i (p, disjoint) ->
-           { cm_path = p; cm_rank = base_rank + i; cm_disjoint = disjoint })
   else begin
     let graph = Net_state.graph state in
     let src = Path.src primary and dst = Path.dst primary in
@@ -522,7 +520,7 @@ let collect_chain ?max_hops scheme state ~primary ~bw ~count ~existing =
               | None -> None
               | Some (_, p) -> Some p))
     in
-    let rec collect earlier fresh rank k =
+    let rec collect earlier fresh k =
       if k = 0 then List.rev fresh
       else
         match find_strict earlier with
@@ -533,15 +531,11 @@ let collect_chain ?max_hops scheme state ~primary ~bw ~count ~existing =
               journal_backup_chosen scheme state ~primary
                 ~earlier_backups:earlier ~bw p;
             ban p;
-            collect (p :: earlier)
-              ({ cm_path = p; cm_rank = rank; cm_disjoint = true } :: fresh)
-              (rank + 1) (k - 1)
+            collect (p :: earlier) (p :: fresh) (k - 1)
         | None -> (
             (* Graceful fallback when disjointness is infeasible: the soft
                Q-penalised search (the paper requires *minimal*, not zero,
-               overlap).  Any fully disjoint route would have survived the
-               strict pass, so a fallback member is genuinely
-               non-disjoint. *)
+               overlap). *)
             match
               find_backup_general ?max_hops scheme state ~primary
                 ~earlier_backups:earlier ~bw
@@ -554,18 +548,19 @@ let collect_chain ?max_hops scheme state ~primary ~bw ~count ~existing =
                 then List.rev fresh
                 else begin
                   ban p;
-                  collect (p :: earlier)
-                    ({ cm_path = p; cm_rank = rank; cm_disjoint = false }
-                    :: fresh)
-                    (rank + 1) (k - 1)
+                  collect (p :: earlier) (p :: fresh) (k - 1)
                 end)
     in
-    collect (List.rev existing) [] base_rank count
+    collect (List.rev existing) [] count
   end
 
 let find_backup_chain ?max_hops scheme state ~primary ~bw ~k =
   let chain =
-    collect_chain ?max_hops scheme state ~primary ~bw ~count:k ~existing:[]
+    additional_chain_members ?max_hops scheme state ~primary ~bw ~existing:[]
+      ~count:k
+    |> chain_disjoint_flags (Net_state.srlg state) ~primary
+    |> List.mapi (fun i (p, disjoint) ->
+           { cm_path = p; cm_rank = i; cm_disjoint = disjoint })
   in
   (match chain with
   | _ :: _ when !J.on ->
@@ -580,10 +575,6 @@ let find_backup_chain ?max_hops scheme state ~primary ~bw ~k =
            })
   | _ -> ());
   chain
-
-let additional_chain_members ?max_hops scheme state ~primary ~bw ~existing
-    ~count =
-  collect_chain ?max_hops scheme state ~primary ~bw ~count ~existing
 
 type reject_reason = No_primary | No_backup
 

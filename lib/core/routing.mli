@@ -180,12 +180,12 @@ val additional_chain_members :
   bw:int ->
   existing:Dr_topo.Path.t list ->
   count:int ->
-  chain_member list
-(** Extend an existing chain: up to [count] new members, each avoiding
-    the SRLGs of the primary, the existing members and the previously
-    returned routes ([cm_rank] continues from [List.length existing]).
-    The recovery reconfiguration step uses this to top an exhausted
-    chain back up. *)
+  Dr_topo.Path.t list
+(** Extend an existing chain: up to [count] new members in failover
+    order, each avoiding the SRLGs of the primary, the existing members
+    and the previously returned routes.  With the singleton model this is
+    {!additional_backups}.  The recovery reconfiguration step uses this
+    to top a connection back up to its protection level. *)
 
 type reject_reason = No_primary | No_backup
 

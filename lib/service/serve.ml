@@ -114,8 +114,10 @@ let pp_deterministic ppf r =
 
 let pp_timing ppf r =
   Format.fprintf ppf
-    "serve-timing: elapsed=%.3fs admissions/sec=%.0f@." r.rp_elapsed_s
-    r.rp_requests_per_sec;
+    "serve-timing: elapsed=%.3fs requests/sec=%.0f admissions/sec=%.0f@."
+    r.rp_elapsed_s r.rp_requests_per_sec
+    (if r.rp_elapsed_s > 0.0 then float_of_int r.rp_accepted /. r.rp_elapsed_s
+     else 0.0);
   Format.fprintf ppf
     "serve-timing: latency p50=%.1fus p95=%.1fus p99=%.1fus@." r.rp_lat_p50_us
     r.rp_lat_p95_us r.rp_lat_p99_us;

@@ -96,7 +96,9 @@ type report = {
   rp_violations : (int * string) list;
       (** buffered invariant violations (batch, message), oldest first *)
   rp_elapsed_s : float;
-  rp_requests_per_sec : float;  (** sustained admissions/sec over the run *)
+  rp_requests_per_sec : float;
+      (** sustained requests/sec over the run (every request, accepted or
+          not; the elapsed time includes what-ifs, probes and audits) *)
   rp_lat_p50_us : float;
   rp_lat_p95_us : float;
   rp_lat_p99_us : float;

@@ -297,6 +297,51 @@ let test_step4_promoted_without_fresh_backup () =
   Alcotest.(check (list int)) "promoted conn still queued" [ 1 ]
     report.Recovery.unprotected_ids
 
+(* ---- step 4 with a backup that can no longer be hosted ------------------- *)
+
+(* With two backups per connection, an earlier victim's activation can
+   convert the spare a surviving backup of a later connection needs into
+   prime.  Step 4 must drop that backup, not raise out of the driver:
+   this seeded state used to raise [Invalid_argument] on edge 2. *)
+let test_step4_drops_inadmissible_backup () =
+  let graph = Dr_topo.Gen.waxman ~rng:(Rng.create 2) ~n:20 ~avg_degree:3.5 () in
+  let manager =
+    Drtp.Manager.create ~graph ~capacity:12 ~spare_policy:Net_state.Multiplexed
+      ~route:
+        (Routing.link_state_route_fn ~backup_count:2 Routing.Dlsr
+           ~with_backup:true)
+  in
+  let spec =
+    {
+      Dr_sim.Workload.arrival_rate = 0.6;
+      horizon = 600.0;
+      lifetime_lo = 400.0;
+      lifetime_hi = 900.0;
+      bw = Dr_sim.Workload.Constant 1;
+      pattern = Dr_sim.Workload.Uniform;
+    }
+  in
+  Array.iter
+    (fun (it : Dr_sim.Scenario.item) ->
+      if it.time <= 600.0 then Drtp.Manager.apply manager it)
+    (Dr_sim.Scenario.items
+       (Dr_sim.Workload.generate (Rng.create 1002) ~node_count:20 spec));
+  let st = Drtp.Manager.state manager in
+  List.iter
+    (fun edge ->
+      (match
+         Recovery.fail_edge_drtp st ~scheme:Routing.Dlsr ~backup_count:2 ~edge ()
+       with
+      | _ -> ()
+      | exception Invalid_argument msg ->
+          Alcotest.failf "edge %d: recovery raised %s" edge msg);
+      Alcotest.(check bool)
+        (Printf.sprintf "invariants after edge %d" edge)
+        true
+        (Net_state.check_invariants st = Ok ());
+      Net_state.restore_edge st ~edge)
+    [ 0; 1; 2 ]
+
 (* ---- recovered_fraction property ---------------------------------------- *)
 
 let property ?(count = 100) name gen f =
@@ -357,6 +402,7 @@ let suite =
         Alcotest.test_case "step 4: reroute success pinned" `Quick test_step4_counters_reroute_success;
         Alcotest.test_case "step 4: no spare route pinned" `Quick test_step4_counters_no_spare_route;
         Alcotest.test_case "step 4: promoted without fresh backup" `Quick test_step4_promoted_without_fresh_backup;
+        Alcotest.test_case "step 4: inadmissible backup dropped" `Quick test_step4_drops_inadmissible_backup;
         prop_recovered_fraction_bounded;
       ] );
   ]
