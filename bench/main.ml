@@ -274,10 +274,6 @@ let test_telemetry_counter_off =
   Test.make ~name:"telemetry/counter-incr-disabled"
     (Staged.stage (fun () -> Telemetry.Counter.incr c))
 
-let test_telemetry_span_off =
-  Test.make ~name:"telemetry/span-disabled"
-    (Staged.stage (fun () -> Telemetry.Span.with_ ~name:"bench.span" (fun () -> ())))
-
 (* Journal primitives with the switch off — the cost every journal guard
    adds to an uninstrumented run (one load + one branch). *)
 let test_journal_record_off =
@@ -380,7 +376,6 @@ let all_tests =
     test_group_eval;
     test_scenario_parse;
     test_telemetry_counter_off;
-    test_telemetry_span_off;
     test_journal_record_off;
     test_journal_record_on;
     test_span_off;
@@ -426,10 +421,10 @@ let run_benchmarks () =
    (schedule + dispatch, the simulator's innermost cycle): an
    uninstrumented replica of the loop is raced against the instrumented
    {!Dr_sim.Engine} — which now carries both the telemetry and the journal
-   guards — with everything off, with telemetry enabled into a JSONL sink,
-   and with the journal enabled into its ring.  Variants are interleaved
-   and the per-variant minimum over several trials is kept, which
-   suppresses scheduling and frequency-scaling noise. *)
+   guards — with everything off, with telemetry enabled, and with the
+   journal enabled into its ring.  Variants are interleaved and the
+   per-variant minimum over several trials is kept, which suppresses
+   scheduling and frequency-scaling noise. *)
 
 module Pqueue = Dr_pqueue.Pqueue
 module Engine = Dr_sim.Engine
@@ -494,7 +489,6 @@ let overhead_check () =
   let events = if quick then 100_000 else 1_000_000 in
   let trials = 5 in
   let best = Array.make 4 infinity in
-  let sink_file = Filename.temp_file "drtp_bench_trace" ".jsonl" in
   let journal_buf = Journal.create () in
   let variant ?(events = events) i =
     match i with
@@ -505,9 +499,7 @@ let overhead_check () =
         time_of (fun () -> engine_loop events)
     | 2 ->
         Telemetry.set_enabled true;
-        Telemetry.Sink.set (Telemetry.Sink.jsonl (open_out sink_file));
         let dt = time_of (fun () -> engine_loop events) in
-        Telemetry.Sink.close ();
         Telemetry.set_enabled false;
         dt
     | _ ->
@@ -573,7 +565,6 @@ let overhead_check () =
   done;
   let median_ratio = !median_ratio in
   Telemetry.reset ();
-  Sys.remove sink_file;
   let per_event s = s /. float_of_int events *. 1e9 in
   let pct i = 100.0 *. (best.(i) -. best.(0)) /. best.(0) in
   Printf.printf "# Instrumentation overhead (event-engine hot loop, %d events)\n"
@@ -583,7 +574,7 @@ let overhead_check () =
   Printf.printf "%-34s %8.1f ns/event  (%+.1f%%)\n"
     "engine, telemetry+journal off" (per_event best.(1)) (pct 1);
   Printf.printf "%-34s %8.1f ns/event  (%+.1f%%)\n"
-    "engine, telemetry + JSONL sink" (per_event best.(2)) (pct 2);
+    "engine, telemetry enabled" (per_event best.(2)) (pct 2);
   Printf.printf "%-34s %8.1f ns/event  (%+.1f%%)\n"
     "engine, journal ring enabled" (per_event best.(3)) (pct 3);
   let overhead = 100.0 *. (median_ratio -. 1.0) in

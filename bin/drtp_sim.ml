@@ -15,13 +15,6 @@ let stderr_progress line =
 module Telemetry = Dr_telemetry.Telemetry
 module Journal = Dr_obs.Journal
 
-let trace_t =
-  let doc =
-    "Enable telemetry and write a JSONL trace (span records, then a final \
-     snapshot of every counter/gauge/timer) to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
 let metrics_t =
   let doc =
     "Enable telemetry and print the metrics summary table when the command \
@@ -39,22 +32,11 @@ let journal_t =
 
 (* Evaluating this term configures telemetry as a side effect, so every
    subcommand picks the flags up by prepending [$ telemetry_t].  The
-   summary table and the trace/journal finalisation run from [at_exit]:
-   they then also cover commands that leave through [exit] (claims). *)
+   summary table and the journal finalisation run from [at_exit]: they
+   then also cover commands that leave through [exit] (claims). *)
 let telemetry_t =
-  let setup trace metrics journal =
-    if trace <> None || metrics then Telemetry.set_enabled true;
-    (match trace with
-    | None -> ()
-    | Some file ->
-        let oc =
-          try open_out file
-          with Sys_error msg ->
-            Printf.eprintf "drtp_sim: cannot open trace file (%s)\n" msg;
-            exit 2
-        in
-        Telemetry.Sink.set (Telemetry.Sink.jsonl oc);
-        at_exit Telemetry.Sink.close);
+  let setup metrics journal =
+    if metrics then Telemetry.set_enabled true;
     (match journal with
     | None -> ()
     | Some file ->
@@ -69,15 +51,14 @@ let telemetry_t =
             Journal.write_jsonl (Journal.current ()) oc;
             close_out_noerr oc));
     if metrics then
-      (* Registered after the sink hook, so LIFO order prints the table
-         before the trace file is finalised.  The GC sample lands just
-         before the table renders, so the [gc.*] gauges report the whole
-         run's allocation odometers and top-heap high-water mark. *)
+      (* The GC sample lands just before the table renders, so the [gc.*]
+         gauges report the whole run's allocation odometers and top-heap
+         high-water mark. *)
       at_exit (fun () ->
           Telemetry.observe_gc ();
           Format.printf "@.%a@." Telemetry.pp_summary ())
   in
-  Term.(const setup $ trace_t $ metrics_t $ journal_t)
+  Term.(const setup $ metrics_t $ journal_t)
 
 (* ---- shared options ---------------------------------------------------- *)
 

@@ -446,28 +446,6 @@ let reroute_primary t ~id ~primary =
           end)
         backups
 
-let replace_backups t ~id ~backups =
-  match Hashtbl.find_opt t.conns id with
-  | None -> invalid_arg "Net_state.replace_backups: unknown connection"
-  | Some conn ->
-      let primary_edges = edge_lset_of_path conn.primary in
-      unregister_all_backups t conn;
-      conn.backups <- [];
-      let rec check earlier = function
-        | [] -> ()
-        | b :: rest ->
-            if not (backup_admissible t ~bw:conn.bw ~primary:conn.primary ~earlier_backups:earlier b)
-            then invalid_arg "Net_state.replace_backups: backup link cannot host backup";
-            check (b :: earlier) rest
-      in
-      check [] backups;
-      List.iter
-        (fun b ->
-          if not (register_backup t ~bw:conn.bw ~primary_edges ~backup_path:b) then
-            conn.degraded <- true)
-        backups;
-      conn.backups <- backups
-
 let replace_backups_drop t ~id ~backups =
   match Hashtbl.find_opt t.conns id with
   | None -> invalid_arg "Net_state.replace_backups_drop: unknown connection"
@@ -475,11 +453,11 @@ let replace_backups_drop t ~id ~backups =
       let primary_edges = edge_lset_of_path conn.primary in
       unregister_all_backups t conn;
       conn.backups <- [];
-      (* Same sequential admissibility walk as {!replace_backups}, but an
-         infeasible member is dropped instead of raising: under correlated
-         failures, earlier victims' activations may have converted spare to
-         prime on a surviving backup's links, and losing that member is the
-         graceful outcome (the reprotection queue can retry later). *)
+      (* Sequential admissibility walk; an infeasible member is dropped:
+         under correlated failures, earlier victims' activations may have
+         converted spare to prime on a surviving backup's links, and losing
+         that member is the graceful outcome (the reprotection queue can
+         retry later). *)
       let kept =
         List.rev
           (List.fold_left

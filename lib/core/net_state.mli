@@ -35,7 +35,7 @@ type conn = {
       (** mutated only by {!promote_backup} (DRTP step 3). *)
   mutable backups : Dr_topo.Path.t list;
       (** in priority order; mutated by {!promote_backup} and
-          {!replace_backups}. *)
+          {!replace_backups_drop}. *)
   mutable degraded : bool;
       (** true if, at some point while registered, a link of some backup
           could not reserve the spare the policy asked for (conflicting
@@ -186,20 +186,16 @@ val reroute_primary : t -> id:int -> primary:Dr_topo.Path.t -> unit
     new primary's LSET, silently dropping backups that no longer fit.
     The new route must share the connection's endpoints. *)
 
-val replace_backups : t -> id:int -> backups:Dr_topo.Path.t list -> unit
-(** Resource reconfiguration (DRTP step 4): unregister the current backups
-    and register the given set.  [[]] leaves the connection unprotected.
-    Raises [Invalid_argument] if a new backup link cannot host it. *)
-
 val replace_backups_drop :
   t -> id:int -> backups:Dr_topo.Path.t list -> Dr_topo.Path.t list
-(** Like {!replace_backups}, but a member whose links can no longer host
-    it is silently dropped (the same graceful policy {!promote_backup}
-    applies to survivors) instead of raising; returns the members kept.
-    The raising variant is right when the caller just computed the set
-    against current resources; this one is right for recovery drivers,
-    where concurrent activations may have converted a surviving backup's
-    spare into prime since it was found. *)
+(** Resource reconfiguration (DRTP step 4): unregister the current backups
+    and register the given set, in priority order, returning the members
+    kept.  [[]] leaves the connection unprotected.  A member whose links
+    can no longer host it is silently dropped (the same graceful policy
+    {!promote_backup} applies to survivors): in recovery drivers,
+    concurrent activations may have converted a surviving backup's spare
+    into prime since it was found.  Raises [Invalid_argument] for an
+    unknown connection. *)
 
 val fail_edge : t -> edge:int -> unit
 (** Mark both directions of an edge as failed.  Failed links are excluded

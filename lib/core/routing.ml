@@ -554,27 +554,31 @@ let additional_chain_members ?max_hops scheme state ~primary ~bw ~existing
     collect (List.rev existing) [] count
   end
 
-let find_backup_chain ?max_hops scheme state ~primary ~bw ~k =
-  let chain =
+(* The chain's member paths.  The [chain-built] record's disjointness
+   flags are computed only when the journal is on. *)
+let backup_chain ?max_hops scheme state ~primary ~bw ~k =
+  let paths =
     additional_chain_members ?max_hops scheme state ~primary ~bw ~existing:[]
       ~count:k
-    |> chain_disjoint_flags (Net_state.srlg state) ~primary
-    |> List.mapi (fun i (p, disjoint) ->
-           { cm_path = p; cm_rank = i; cm_disjoint = disjoint })
   in
-  (match chain with
-  | _ :: _ when !J.on ->
-      J.record
-        (J.Chain_built
-           {
-             src = Path.src primary;
-             dst = Path.dst primary;
-             members = List.length chain;
-             disjoint =
-               List.length (List.filter (fun m -> m.cm_disjoint) chain);
-           })
-  | _ -> ());
-  chain
+  if paths <> [] && !J.on then
+    J.record
+      (J.Chain_built
+         {
+           src = Path.src primary;
+           dst = Path.dst primary;
+           members = List.length paths;
+           disjoint =
+             chain_disjoint_flags (Net_state.srlg state) ~primary paths
+             |> List.filter snd |> List.length;
+         });
+  paths
+
+let find_backup_chain ?max_hops scheme state ~primary ~bw ~k =
+  backup_chain ?max_hops scheme state ~primary ~bw ~k
+  |> chain_disjoint_flags (Net_state.srlg state) ~primary
+  |> List.mapi (fun i (p, disjoint) ->
+         { cm_path = p; cm_rank = i; cm_disjoint = disjoint })
 
 type reject_reason = No_primary | No_backup
 
@@ -634,10 +638,9 @@ let chain_route_fn ?(k = 1) ?backup_hop_slack scheme : route_fn =
                 (fun slack -> Path.hops primary + slack)
                 backup_hop_slack
             in
-            match find_backup_chain ?max_hops scheme state ~primary ~bw ~k with
+            match backup_chain ?max_hops scheme state ~primary ~bw ~k with
             | [] -> Error No_backup
-            | chain ->
-                Ok { primary; backups = List.map (fun m -> m.cm_path) chain }))
+            | backups -> Ok { primary; backups }))
   in
   count_route_result result;
   result

@@ -5,6 +5,7 @@ module Manager = Drtp.Manager
 module Net_state = Drtp.Net_state
 module Recovery = Drtp.Recovery
 module Routing = Drtp.Routing
+module Faults = Dr_faults.Faults
 
 type row = {
   label : string;
@@ -27,35 +28,14 @@ let approach_label = function
 
 type event = Workload of Scenario.item | Fail of int | Repair of int
 
-(* One failure timeline shared by every approach: (time, edge) failures and
-   their repair times, never failing an already-failed edge. *)
-let failure_timeline ~rng ~edge_count ~mtbf ~mttr ~horizon =
-  let events = ref [] in
-  let repair_at = Array.make edge_count 0.0 in
-  let t = ref (Dr_rng.Dist.exponential rng ~rate:(1.0 /. mtbf)) in
-  while !t < horizon do
-    let alive =
-      List.filter (fun e -> repair_at.(e) <= !t) (List.init edge_count Fun.id)
-    in
-    (match alive with
-    | [] -> ()
-    | _ ->
-        let e = List.nth alive (Dr_rng.Splitmix64.int rng (List.length alive)) in
-        let repair = !t +. Dr_rng.Dist.exponential rng ~rate:(1.0 /. mttr) in
-        repair_at.(e) <- repair;
-        events := (!t, e, repair) :: !events);
-    t := !t +. Dr_rng.Dist.exponential rng ~rate:(1.0 /. mtbf)
-  done;
-  List.rev !events
-
 let run (cfg : Config.t) ~avg_degree ~traffic ~lambda ?(mtbf = 600.0)
     ?(mttr = 120.0) ?(failure_seed = 97) () =
   let graph = Config.make_graph cfg ~avg_degree in
   let scenario = Config.make_scenario cfg traffic ~lambda in
-  let rng = Dr_rng.Splitmix64.create failure_seed in
+  (* One failure timeline shared by every approach. *)
   let timeline =
-    failure_timeline ~rng ~edge_count:(Graph.edge_count graph) ~mtbf ~mttr
-      ~horizon:cfg.Config.horizon
+    Faults.flap_schedule ~seed:failure_seed ~edge_count:(Graph.edge_count graph)
+      ~mtbf ~mttr ~horizon:cfg.Config.horizon ()
   in
   let run_approach approach =
     let route =
@@ -112,9 +92,9 @@ let run (cfg : Config.t) ~avg_degree ~traffic ~lambda ?(mtbf = 600.0)
         if item.Scenario.time <= cfg.Config.horizon then
           Engine.schedule engine ~at:item.Scenario.time (Workload item));
     List.iter
-      (fun (t_fail, e, t_repair) ->
-        Engine.schedule engine ~at:t_fail (Fail e);
-        Engine.schedule engine ~at:t_repair (Repair e))
+      (fun (f : Faults.flap) ->
+        Engine.schedule engine ~at:f.fail_at (Fail f.edge);
+        Engine.schedule engine ~at:f.repair_at (Repair f.edge))
       timeline;
     Engine.run engine ~handler;
     (match Net_state.check_invariants state with

@@ -1,15 +1,9 @@
 module Graph = Dr_topo.Graph
-module Scenario = Dr_sim.Scenario
-module Engine = Dr_sim.Engine
 module Manager = Drtp.Manager
 module Net_state = Drtp.Net_state
-module Recovery = Drtp.Recovery
 module Routing = Drtp.Routing
 module Failure_eval = Drtp.Failure_eval
 module Srlg = Dr_resilience.Srlg
-module Pool = Dr_parallel.Pool
-module J = Dr_obs.Journal
-module Summary = Dr_stats.Summary
 
 type row = {
   k : int;
@@ -24,12 +18,6 @@ type row = {
   latency_mean_ms : float;
   srlg_coverage : float;
 }
-
-type event =
-  | Workload of Scenario.item
-  | Fail of Srlg.burst
-  | Repair of int
-  | Repair_edges of int list
 
 (* One cell: a full workload replay under a seeded correlated-failure
    timeline over a seeded SRLG partition.  Both timelines derive from the
@@ -63,6 +51,16 @@ let run_cell (cfg : Config.t) ~avg_degree ~traffic ~lambda ~scheme ~k
         in
         Srlg.merge_schedules ~edge_count base reg
   in
+  let timeline =
+    List.map
+      (fun (b : Srlg.burst) ->
+        ( b.fail_at,
+          b.repair_at,
+          match b.group with
+          | Some g -> Churn.Group g
+          | None -> Churn.Edges b.edges ))
+      bursts
+  in
   let route =
     if baseline then Routing.link_state_route_fn ~backup_count:k scheme ~with_backup:true
     else Routing.chain_route_fn ~k scheme
@@ -73,84 +71,28 @@ let run_cell (cfg : Config.t) ~avg_degree ~traffic ~lambda ~scheme ~k
   in
   if not baseline then
     Manager.set_reprotect_router manager Manager.chain_reprotect_router;
-  let state = Manager.state manager in
-  let engine : event Engine.t = Engine.create () in
-  let n_bursts = ref 0 in
-  let affected = ref 0 and recovered = ref 0 and lost = ref 0 in
-  let latency = Summary.create () in
-  let end_now = ref 0.0 in
-  let handler engine event =
-    let now = Engine.now engine in
-    end_now := max !end_now now;
-    match event with
-    | Workload item -> Manager.apply manager item
-    | Repair g ->
-        Net_state.restore_group state ~group:g;
-        ignore (Manager.drain_reprotect manager ~now)
-    | Repair_edges edges ->
-        List.iter (fun edge -> Net_state.restore_edge state ~edge) edges;
-        ignore (Manager.drain_reprotect manager ~now)
-    | Fail b ->
-        incr n_bursts;
-        let report =
-          match b.Srlg.group with
-          | Some g ->
-              Recovery.fail_group_drtp state ~scheme ~backup_count:k ~group:g ()
-          | None ->
-              (* Regional bursts carry a bare edge set, no group identity. *)
-              Recovery.fail_edges_drtp state ~scheme ~backup_count:k
-                ~edges:b.Srlg.edges ()
-        in
-        affected := !affected + List.length report.Recovery.outcomes;
-        List.iter
-          (fun (_, outcome) ->
-            match outcome with
-            | Recovery.Switched { latency = l; _ }
-            | Recovery.Rerouted { latency = l; _ } ->
-                incr recovered;
-                Summary.add latency l
-            | Recovery.Lost _ -> incr lost)
-          report.Recovery.outcomes;
-        List.iter
-          (fun id ->
-            Manager.queue_reprotect manager ~id ~scheme ~backup_count:k ~now ())
-          report.Recovery.unprotected_ids
+  let t =
+    Churn.run manager ~name:"Resilience_exp" ~scheme ~backup_count:k ~queue:true
+      ~horizon:cfg.Config.horizon scenario timeline
   in
-  Scenario.iter scenario (fun item ->
-      if item.Scenario.time <= cfg.Config.horizon then
-        Engine.schedule engine ~at:item.Scenario.time (Workload item));
-  List.iter
-    (fun (b : Srlg.burst) ->
-      Engine.schedule engine ~at:b.Srlg.fail_at (Fail b);
-      match b.Srlg.group with
-      | Some g -> Engine.schedule engine ~at:b.Srlg.repair_at (Repair g)
-      | None ->
-          Engine.schedule engine ~at:b.Srlg.repair_at (Repair_edges b.Srlg.edges))
-    bursts;
-  Engine.run engine ~handler;
-  (match Net_state.check_invariants state with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Resilience_exp: invariant violated: " ^ msg));
-  Manager.flush_reprotect manager ~now:(max !end_now cfg.Config.horizon);
   (* All groups were repaired by the schedule, so this is a static
      what-if over the surviving admission state: the fraction of
      primaries that would ride out the failure of their worst SRLG. *)
-  let ft = Failure_eval.fault_tolerance (Failure_eval.evaluate_srlg state) in
+  let ft =
+    Failure_eval.fault_tolerance
+      (Failure_eval.evaluate_srlg (Manager.state manager))
+  in
   {
     k;
     mean_size;
     groups = Srlg.group_count srlg;
     acceptance = Manager.acceptance_ratio manager;
-    bursts = !n_bursts;
-    affected = !affected;
-    recovered = !recovered;
-    lost = !lost;
-    success_ratio =
-      (if !affected = 0 then 1.0
-       else float_of_int !recovered /. float_of_int !affected);
-    latency_mean_ms =
-      (if Summary.count latency = 0 then 0.0
-       else 1000.0 *. Summary.mean latency);
+    bursts = t.Churn.failures;
+    affected = t.Churn.affected;
+    recovered = t.Churn.recovered;
+    lost = t.Churn.lost;
+    success_ratio = t.Churn.success_ratio;
+    latency_mean_ms = t.Churn.latency_mean_ms;
     srlg_coverage = ft;
   }
 
@@ -159,53 +101,13 @@ let run_cell (cfg : Config.t) ~avg_degree ~traffic ~lambda ~scheme ~k
 let default_ks = [ 1; 2; 3 ]
 let default_sizes = [ 1; 4 ]
 
-let cell_seed ~seed i = seed + (1000 * i)
-
 let run ?pool (cfg : Config.t) ~avg_degree ~traffic ~lambda ~scheme
     ?(ks = default_ks) ?(mean_sizes = default_sizes) ?(mtbf = 300.0)
     ?(mttr = 60.0) ?regional ?overlay ?(baseline = false) ?(seed = 4217) () =
-  let cells =
-    List.concat_map (fun s -> List.map (fun k -> (k, s)) ks) mean_sizes
-  in
-  let tasks = Array.of_list (List.mapi (fun i c -> (i, c)) cells) in
-  let f (i, (k, mean_size)) =
-    run_cell cfg ~avg_degree ~traffic ~lambda ~scheme ~k ~mean_size ~mtbf ~mttr
-      ?regional ?overlay ~baseline ~seed:(cell_seed ~seed i) ()
-  in
-  (* Same deterministic journal merge as {!Runner.run_many}: each cell
-     records into a private buffer, re-appended in task-index order, so the
-     merged journal is byte-identical for any [--jobs] count. *)
-  let results =
-    if not !J.on then
-      match pool with
-      | Some pool -> Pool.map pool f tasks
-      | None -> Pool.with_pool ~jobs:1 (fun pool -> Pool.map pool f tasks)
-    else begin
-      let coordinator = J.current () in
-      let g ((i, _) as task) =
-        J.capture ~trace_seed:(cell_seed ~seed i) (fun () -> f task)
-      in
-      let merge _i = function
-        | Ok (_, journal_entries) -> J.append_entries coordinator journal_entries
-        | Error _ -> ()
-      in
-      let res =
-        match pool with
-        | Some pool -> Pool.map ~on_result:merge pool g tasks
-        | None ->
-            Pool.with_pool ~jobs:1 (fun pool ->
-                Pool.map ~on_result:merge pool g tasks)
-      in
-      Array.map (function Ok (m, _) -> Ok m | Error e -> Error e) res
-    end
-  in
-  Array.to_list
-    (Array.map
-       (function
-         | Ok r -> r
-         | Error (e : Pool.error) ->
-             invalid_arg ("Resilience_exp: cell failed: " ^ e.Pool.message))
-       results)
+  List.concat_map (fun s -> List.map (fun k -> (k, s)) ks) mean_sizes
+  |> Runner.sweep ?pool ~name:"Resilience_exp" ~seed (fun ~seed (k, mean_size) ->
+         run_cell cfg ~avg_degree ~traffic ~lambda ~scheme ~k ~mean_size ~mtbf
+           ~mttr ?regional ?overlay ~baseline ~seed ())
 
 let pp ppf rows =
   Format.fprintf ppf

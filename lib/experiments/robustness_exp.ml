@@ -1,14 +1,8 @@
 module Graph = Dr_topo.Graph
-module Scenario = Dr_sim.Scenario
-module Engine = Dr_sim.Engine
 module Manager = Drtp.Manager
 module Net_state = Drtp.Net_state
-module Recovery = Drtp.Recovery
 module Routing = Drtp.Routing
 module Faults = Dr_faults.Faults
-module Pool = Dr_parallel.Pool
-module J = Dr_obs.Journal
-module Summary = Dr_stats.Summary
 
 type row = {
   loss : float;
@@ -26,8 +20,6 @@ type row = {
   unprotected_time_s : float;
 }
 
-type event = Workload of Scenario.item | Fail of int | Repair of int
-
 (* One chaos cell: a full workload replay with a seeded flap timeline and a
    seeded loss plan, both derived from the cell's own [seed] — never shared
    across cells, which is what keeps the sweep [--jobs]-independent. *)
@@ -42,80 +34,30 @@ let run_cell (cfg : Config.t) ~avg_degree ~traffic ~lambda ~scheme ~loss ~mtbf
   let timeline =
     Faults.flap_schedule ~seed:(seed + 1) ~edge_count:(Graph.edge_count graph)
       ~mtbf ~mttr ~horizon:cfg.Config.horizon ()
+    |> List.map (fun (f : Faults.flap) ->
+           (f.fail_at, f.repair_at, Churn.Edge f.edge))
   in
   let route = Routing.link_state_route_fn scheme ~with_backup:true in
   let manager =
     Manager.create ~graph ~capacity:cfg.Config.capacity
       ~spare_policy:Net_state.Multiplexed ~route
   in
-  let state = Manager.state manager in
-  let engine : event Engine.t = Engine.create () in
-  let failures = ref 0 in
-  let affected = ref 0 and recovered = ref 0 in
-  let retransmits = ref 0 and dropped = ref 0 in
-  let latency = Summary.create () in
-  let end_now = ref 0.0 in
-  let handler engine event =
-    let now = Engine.now engine in
-    end_now := max !end_now now;
-    match event with
-    | Workload item -> Manager.apply manager item
-    | Repair e ->
-        Net_state.restore_edge state ~edge:e;
-        (* A repair frees resources: retry the waiting unprotected
-           connections. *)
-        if queue then ignore (Manager.drain_reprotect manager ~now)
-    | Fail e ->
-        incr failures;
-        let report =
-          Recovery.fail_edge_drtp state ~scheme ?faults ~edge:e ()
-        in
-        affected := !affected + List.length report.Recovery.outcomes;
-        List.iter
-          (fun (_, outcome) ->
-            match outcome with
-            | Recovery.Switched { latency = l; _ }
-            | Recovery.Rerouted { latency = l; _ } ->
-                incr recovered;
-                Summary.add latency l
-            | Recovery.Lost _ -> ())
-          report.Recovery.outcomes;
-        retransmits := !retransmits + report.Recovery.retransmits;
-        dropped := !dropped + report.Recovery.messages_dropped;
-        if queue then
-          List.iter
-            (fun id -> Manager.queue_reprotect manager ~id ~scheme ~now ())
-            report.Recovery.unprotected_ids
+  let t =
+    Churn.run manager ~name:"Robustness_exp" ~scheme ~backup_count:1 ?faults
+      ~queue ~horizon:cfg.Config.horizon scenario timeline
   in
-  Scenario.iter scenario (fun item ->
-      if item.Scenario.time <= cfg.Config.horizon then
-        Engine.schedule engine ~at:item.Scenario.time (Workload item));
-  List.iter
-    (fun (f : Faults.flap) ->
-      Engine.schedule engine ~at:f.fail_at (Fail f.edge);
-      Engine.schedule engine ~at:f.repair_at (Repair f.edge))
-    timeline;
-  Engine.run engine ~handler;
-  (match Net_state.check_invariants state with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Robustness_exp: invariant violated: " ^ msg));
-  Manager.flush_reprotect manager ~now:(max !end_now cfg.Config.horizon);
   let rs = Manager.reprotect_stats manager in
   {
     loss;
     mtbf;
     mttr;
-    failures = !failures;
-    affected = !affected;
-    recovered = !recovered;
-    success_ratio =
-      (if !affected = 0 then 1.0
-       else float_of_int !recovered /. float_of_int !affected);
-    latency_mean_ms =
-      (if Summary.count latency = 0 then 0.0
-       else 1000.0 *. Summary.mean latency);
-    retransmits = !retransmits;
-    messages_dropped = !dropped;
+    failures = t.Churn.failures;
+    affected = t.Churn.affected;
+    recovered = t.Churn.recovered;
+    success_ratio = t.Churn.success_ratio;
+    latency_mean_ms = t.Churn.latency_mean_ms;
+    retransmits = t.Churn.retransmits;
+    messages_dropped = t.Churn.messages_dropped;
     reprotect_queued = rs.Manager.queued;
     reprotect_drained = rs.Manager.drained;
     unprotected_time_s = rs.Manager.unprotected_time;
@@ -126,53 +68,13 @@ let run_cell (cfg : Config.t) ~avg_degree ~traffic ~lambda ~scheme ~loss ~mtbf
 let default_losses = [ 0.0; 0.05; 0.2 ]
 let default_mtbfs = [ 600.0; 120.0 ]
 
-let cell_seed ~seed i = seed + (1000 * i)
-
 let run ?pool (cfg : Config.t) ~avg_degree ~traffic ~lambda ~scheme
     ?(losses = default_losses) ?(mtbfs = default_mtbfs) ?(mttr = 60.0)
     ?(queue = true) ?(fault_layer = true) ?(seed = 1913) () =
-  let cells =
-    List.concat_map (fun loss -> List.map (fun mtbf -> (loss, mtbf)) mtbfs) losses
-  in
-  let tasks = Array.of_list (List.mapi (fun i c -> (i, c)) cells) in
-  let f (i, (loss, mtbf)) =
-    run_cell cfg ~avg_degree ~traffic ~lambda ~scheme ~loss ~mtbf ~mttr
-      ~seed:(cell_seed ~seed i) ~queue ~fault_layer ()
-  in
-  (* Same deterministic journal merge as {!Runner.run_many}: each cell
-     records into a private buffer, re-appended in task-index order, so the
-     merged journal is byte-identical for any [--jobs] count. *)
-  let results =
-    if not !J.on then
-      match pool with
-      | Some pool -> Pool.map pool f tasks
-      | None -> Pool.with_pool ~jobs:1 (fun pool -> Pool.map pool f tasks)
-    else begin
-      let coordinator = J.current () in
-      let g ((i, _) as task) =
-        J.capture ~trace_seed:(cell_seed ~seed i) (fun () -> f task)
-      in
-      let merge _i = function
-        | Ok (_, journal_entries) -> J.append_entries coordinator journal_entries
-        | Error _ -> ()
-      in
-      let res =
-        match pool with
-        | Some pool -> Pool.map ~on_result:merge pool g tasks
-        | None ->
-            Pool.with_pool ~jobs:1 (fun pool ->
-                Pool.map ~on_result:merge pool g tasks)
-      in
-      Array.map (function Ok (m, _) -> Ok m | Error e -> Error e) res
-    end
-  in
-  Array.to_list
-    (Array.map
-       (function
-         | Ok r -> r
-         | Error (e : Pool.error) ->
-             invalid_arg ("Robustness_exp: cell failed: " ^ e.Pool.message))
-       results)
+  List.concat_map (fun loss -> List.map (fun mtbf -> (loss, mtbf)) mtbfs) losses
+  |> Runner.sweep ?pool ~name:"Robustness_exp" ~seed (fun ~seed (loss, mtbf) ->
+         run_cell cfg ~avg_degree ~traffic ~lambda ~scheme ~loss ~mtbf ~mttr
+           ~seed ~queue ~fault_layer ())
 
 let pp ppf rows =
   Format.fprintf ppf

@@ -12,7 +12,8 @@ module Pool = Dr_parallel.Pool
 module J = Dr_obs.Journal
 
 (* Telemetry: the per-snapshot fault-tolerance evaluation dominates a
-   measured run's wall time; each replay is one traced span. *)
+   measured run's wall time; each replay is timed as a whole. *)
+let t_run = Tm.Timer.make "runner.run"
 let t_snapshot = Tm.Timer.make "runner.snapshot"
 let c_snapshots = Tm.Counter.make "runner.snapshots"
 
@@ -94,9 +95,7 @@ let load_state ?srlg (cfg : Config.t) ~graph ~scenario ~scheme ~until =
   Manager.state manager
 
 let run (cfg : Config.t) ~graph ~scenario ~scheme =
-  Tm.Span.with_ ~name:"runner.run"
-    ~attrs:[ ("scheme", Tm.String (scheme_label scheme)) ]
-  @@ fun () ->
+  Tm.Timer.time t_run @@ fun () ->
   let flood_stats = Bounded_flood.fresh_stats () in
   let spare_policy = spare_policy_of scheme in
   let base_route : Routing.route_fn = route_fn_of cfg scheme graph flood_stats in
@@ -214,46 +213,63 @@ let run (cfg : Config.t) ~graph ~scenario ~scheme =
 
 (* ---- parallel submission ------------------------------------------------ *)
 
-(* One pool task per measured replay.  Tasks share only immutable inputs
-   (the graph, the scenario — both read-only after construction), so they
-   can run on any worker domain; results come back in submission order,
-   which keeps parallel sweeps bit-identical to sequential ones.
+(* The one journalled cell map.  Tasks share only immutable inputs (graphs,
+   scenarios), so they can run on any worker domain; results come back in
+   submission order, which keeps parallel sweeps bit-identical to
+   sequential ones.
 
    When the journal is on, each task records into a private buffer
-   ({!J.capture}, with sim time restarted at 0), and the captured entries
-   are re-appended to the coordinating domain's journal from [on_result] —
-   which the pool invokes in strict task-index order.  The merged journal
-   is therefore byte-identical for any [--jobs] count. *)
-let run_many ?pool ?on_result (cfg : Config.t) tasks =
-  let plain (graph, scenario, scheme) = run cfg ~graph ~scenario ~scheme in
-  if not !J.on then
-    match pool with
-    | Some pool -> Pool.map ?on_result pool plain tasks
-    | None -> Pool.with_pool ~jobs:1 (fun pool -> Pool.map ?on_result pool plain tasks)
+   ({!J.capture}, with sim time restarted at 0) under trace seed
+   [trace_seed i], drawn here on the coordinator before dispatch so trace
+   ids do not depend on which worker runs which task.  The captured
+   entries are re-appended to the coordinator's journal from [on_result],
+   which the pool invokes in strict task-index order, so the merged
+   journal is byte-identical for any [--jobs] count. *)
+let map_cells ?pool ?on_result ~trace_seed f tasks =
+  let with_pool g =
+    match pool with Some pool -> g pool | None -> Pool.with_pool ~jobs:1 g
+  in
+  if not !J.on then with_pool (fun pool -> Pool.map ?on_result pool f tasks)
   else begin
     let coordinator = J.current () in
-    (* Trace-id seeds must not depend on which worker domain runs which
-       task: reserve one epoch per task index here, before dispatch, so
-       the merged journal's trace ids are independent of [--jobs]. *)
-    let base = J.Causal.alloc_trace_epochs coordinator (Array.length tasks) in
-    let seeded = Array.mapi (fun i task -> (base + i, task)) tasks in
-    let f (seed, task) = J.capture ~trace_seed:seed (fun () -> plain task) in
+    let seeded = Array.mapi (fun i task -> (trace_seed i, task)) tasks in
+    let traced (seed, task) = J.capture ~trace_seed:seed (fun () -> f task) in
     let merge i r =
       let forwarded =
-        match r with
-        | Ok (m, journal_entries) ->
+        Result.map
+          (fun (v, journal_entries) ->
             J.append_entries coordinator journal_entries;
-            Ok m
-        | Error e -> Error e
+            v)
+          r
       in
-      match on_result with None -> () | Some g -> g i forwarded
+      Option.iter (fun g -> g i forwarded) on_result
     in
-    let results =
-      match pool with
-      | Some pool -> Pool.map ~on_result:merge pool f seeded
-      | None ->
-          Pool.with_pool ~jobs:1 (fun pool ->
-              Pool.map ~on_result:merge pool f seeded)
-    in
-    Array.map (function Ok (m, _) -> Ok m | Error e -> Error e) results
+    with_pool (fun pool -> Pool.map ~on_result:merge pool traced seeded)
+    |> Array.map (Result.map fst)
   end
+
+let run_many ?pool ?on_result (cfg : Config.t) tasks =
+  (* One trace epoch per task index, reserved only when the journal is on. *)
+  let base =
+    lazy (J.Causal.alloc_trace_epochs (J.current ()) (Array.length tasks))
+  in
+  map_cells ?pool ?on_result
+    ~trace_seed:(fun i -> Lazy.force base + i)
+    (fun (graph, scenario, scheme) -> run cfg ~graph ~scenario ~scheme)
+    tasks
+
+let cell_seed ~seed i = seed + (1000 * i)
+
+let sweep ?pool ~name ~seed f cells =
+  let tasks =
+    Array.of_list (List.mapi (fun i c -> (cell_seed ~seed i, c)) cells)
+  in
+  map_cells ?pool
+    ~trace_seed:(fun i -> fst tasks.(i))
+    (fun (seed, c) -> f ~seed c)
+    tasks
+  |> Array.to_list
+  |> List.map (function
+       | Ok r -> r
+       | Error (e : Pool.error) ->
+           invalid_arg (name ^ ": cell failed: " ^ e.Pool.message))

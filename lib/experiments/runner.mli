@@ -69,19 +69,36 @@ val run :
   measurement
 (** Replay [scenario] under [scheme].  Deterministic. *)
 
+val sweep :
+  ?pool:Dr_parallel.Pool.t ->
+  name:string ->
+  seed:int ->
+  (seed:int -> 'a -> 'b) ->
+  'a list ->
+  'b list
+(** [sweep ~name ~seed f cells] runs [f ~seed:(seed + 1000·i) cell] for the
+    [i]-th cell through a {!Dr_parallel.Pool} (inline, single-job
+    execution when [pool] is absent) and returns the rows in cell order.
+    With the journal on, each cell records into a private buffer under its
+    cell seed as trace seed, and the captured entries are re-appended to
+    the caller's journal in cell order, so rows and journal bytes are
+    identical for any job count.  A cell that keeps raising after the
+    pool's retry raises [Invalid_argument "<name>: cell failed: ..."]. *)
+
 val run_many :
   ?pool:Dr_parallel.Pool.t ->
   ?on_result:(int -> (measurement, Dr_parallel.Pool.error) result -> unit) ->
   Config.t ->
   (Dr_topo.Graph.t * Dr_sim.Scenario.t * scheme_spec) array ->
   (measurement, Dr_parallel.Pool.error) result array
-(** Run one measured replay per task through a {!Dr_parallel.Pool}
-    (inline, single-job execution when [pool] is absent).  Tasks are
-    independent — each builds its own manager and network state — and the
-    result array is keyed by task index, so output is identical for any
-    job count.  A task that keeps raising after the pool's retry becomes
-    an [Error] element instead of aborting the batch.  [on_result] is
-    invoked from the calling domain in task order. *)
+(** {!run} once per task, through the same pool and journal merge as
+    {!sweep}.  Tasks are independent — each builds its own manager and
+    network state — and the result array is keyed by task index.  With
+    the journal on, the trace seeds are a block of epochs reserved on the
+    caller's journal ({!Dr_obs.Journal.Causal.alloc_trace_epochs}).  A
+    task that keeps raising after the pool's retry becomes an [Error]
+    element instead of aborting the batch.  [on_result] is invoked from
+    the calling domain in task order. *)
 
 val load_state :
   ?srlg:Dr_resilience.Srlg.t ->

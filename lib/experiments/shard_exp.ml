@@ -7,8 +7,6 @@ module Routing = Drtp.Routing
 module Failure_eval = Drtp.Failure_eval
 module Faults = Dr_faults.Faults
 module Shard_sim = Dr_shard.Shard_sim
-module Pool = Dr_parallel.Pool
-module J = Dr_obs.Journal
 
 type row = {
   parts : int;
@@ -173,61 +171,22 @@ let run_cell (cfg : Config.t) ~avg_degree ~traffic ~lambda ~scheme ~backup_count
     }
   end
 
-let cell_seed ~seed i = seed + (1000 * i)
-
 let run ?pool (cfg : Config.t) ~avg_degree ~traffic ~lambda ~scheme
     ?(backup_count = 1) ?(parts_list = default_parts)
     ?(intervals = default_intervals) ?(losses = default_losses)
     ?(lsa_refresh = 30.0) ?(flood_delay = 0.050) ?(hop_delay = 0.001)
     ?(max_retries = 1) ?(baseline = false) ?(seed = 6311) () =
-  let cells =
-    List.concat_map
-      (fun p ->
-        List.concat_map
-          (fun i -> List.map (fun l -> (p, i, l)) losses)
-          intervals)
-      parts_list
-  in
-  let tasks = Array.of_list (List.mapi (fun i c -> (i, c)) cells) in
-  let f (i, (parts, interval, loss)) =
-    run_cell cfg ~avg_degree ~traffic ~lambda ~scheme ~backup_count ~parts
-      ~interval ~loss ~lsa_refresh ~flood_delay ~hop_delay ~max_retries
-      ~partition_seed:(seed + 17) ~baseline ~seed:(cell_seed ~seed i) ()
-  in
-  (* Same deterministic journal merge as {!Resilience_exp.run}: each cell
-     records into a private buffer, re-appended in task-index order, so the
-     merged journal is byte-identical for any [--jobs] count. *)
-  let results =
-    if not !J.on then
-      match pool with
-      | Some pool -> Pool.map pool f tasks
-      | None -> Pool.with_pool ~jobs:1 (fun pool -> Pool.map pool f tasks)
-    else begin
-      let coordinator = J.current () in
-      let g ((i, _) as task) =
-        J.capture ~trace_seed:(cell_seed ~seed i) (fun () -> f task)
-      in
-      let merge _i = function
-        | Ok (_, journal_entries) -> J.append_entries coordinator journal_entries
-        | Error _ -> ()
-      in
-      let res =
-        match pool with
-        | Some pool -> Pool.map ~on_result:merge pool g tasks
-        | None ->
-            Pool.with_pool ~jobs:1 (fun pool ->
-                Pool.map ~on_result:merge pool g tasks)
-      in
-      Array.map (function Ok (m, _) -> Ok m | Error e -> Error e) res
-    end
-  in
-  Array.to_list
-    (Array.map
-       (function
-         | Ok r -> r
-         | Error (e : Pool.error) ->
-             invalid_arg ("Shard_exp: cell failed: " ^ e.Pool.message))
-       results)
+  (* One partition for the whole sweep; every cell draws its own [seed]. *)
+  let partition_seed = seed + 17 in
+  List.concat_map
+    (fun p ->
+      List.concat_map (fun i -> List.map (fun l -> (p, i, l)) losses) intervals)
+    parts_list
+  |> Runner.sweep ?pool ~name:"Shard_exp" ~seed
+       (fun ~seed (parts, interval, loss) ->
+         run_cell cfg ~avg_degree ~traffic ~lambda ~scheme ~backup_count ~parts
+           ~interval ~loss ~lsa_refresh ~flood_delay ~hop_delay ~max_retries
+           ~partition_seed ~baseline ~seed ())
 
 let pp ppf rows =
   Format.fprintf ppf

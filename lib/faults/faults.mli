@@ -82,10 +82,11 @@ val dropped_of : t -> cls -> int
 
 (** {1 Link repair / flap schedules}
 
-    The repair-churn half of the chaos grid: a seeded timeline of edge
-    failures and their repairs, never failing an edge that is already
-    down.  Failure inter-arrivals and repair durations are exponential
-    ([mtbf], [mttr]), the same process {!Dr_exp.Availability_exp} uses. *)
+    The repair-churn half of the chaos grid, and the E6 availability
+    timeline ({!Dr_exp.Availability_exp} calls {!flap_schedule}): a
+    seeded timeline of edge failures and their repairs, never failing an
+    edge that is already down.  Failure inter-arrivals and repair
+    durations are exponential ([mtbf], [mttr]). *)
 
 (** {1 Crash schedules}
 

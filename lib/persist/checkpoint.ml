@@ -4,34 +4,14 @@
    are stored as exact IEEE-754 bits in hex; every other field is a plain
    integer, so a round-trip is bit-exact by construction. *)
 
-module J = Dr_obs.Journal
 open Drtp
+open Sealed_line
 
 type t = { ck_wal_seq : int; ck_time : float; ck_repr : Manager.Serial.repr }
 
 let version = 1
-let hex_of_float f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
-let float_of_hex s = Int64.float_of_bits (Int64.of_string ("0x" ^ s))
 
 (* ---- encoding ------------------------------------------------------------ *)
-
-let add_int_array b arr =
-  Buffer.add_char b '[';
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int v))
-    arr;
-  Buffer.add_char b ']'
-
-let add_int_list b xs =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int v))
-    xs;
-  Buffer.add_char b ']'
 
 let encode { ck_wal_seq; ck_time; ck_repr = r } =
   let b = Buffer.create (1 lsl 12) in
@@ -40,9 +20,9 @@ let encode { ck_wal_seq; ck_time; ck_repr = r } =
        (hex_of_float ck_time));
   let ns = r.Manager.Serial.m_state in
   Buffer.add_string b ",\"prime\":";
-  add_int_array b ns.Net_state.Serial.r_prime;
+  add_ints b (Array.to_list ns.Net_state.Serial.r_prime);
   Buffer.add_string b ",\"spare\":";
-  add_int_array b ns.Net_state.Serial.r_spare;
+  add_ints b (Array.to_list ns.Net_state.Serial.r_spare);
   Buffer.add_string b ",\"failed\":";
   Buffer.add_char b '[';
   Array.iteri
@@ -61,12 +41,12 @@ let encode { ck_wal_seq; ck_time; ck_repr = r } =
         (Printf.sprintf "{\"id\":%d,\"src\":%d,\"dst\":%d,\"bw\":%d,\"deg\":%d,\"p\":"
            c.r_id c.r_src c.r_dst c.r_bw
            (if c.r_degraded then 1 else 0));
-      add_int_list b c.r_primary;
+      add_ints b c.r_primary;
       Buffer.add_string b ",\"b\":[";
       List.iteri
         (fun j bk ->
           if j > 0 then Buffer.add_char b ',';
-          add_int_list b bk)
+          add_ints b bk)
         c.r_backups;
       Buffer.add_string b "]}")
     ns.Net_state.Serial.r_conns;
@@ -93,183 +73,120 @@ let encode { ck_wal_seq; ck_time; ck_repr = r } =
            e.rr_span))
     r.Manager.Serial.m_reprotect;
   Buffer.add_char b ']';
-  let prefix = Buffer.contents b in
-  Printf.sprintf "%s,\"crc\":%d}" prefix (Crc32.string prefix)
+  seal (Buffer.contents b)
 
 (* ---- decoding ------------------------------------------------------------ *)
 
 let ( let* ) r f = Result.bind r f
 
-let field key j =
-  match J.mem key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" key)
-
-let int_field key j =
-  let* v = field key j in
-  match v with
-  | J.Num f -> Ok (int_of_float f)
-  | _ -> Error (Printf.sprintf "field %S: expected integer" key)
-
-let str_field key j =
-  let* v = field key j in
-  match v with
-  | J.Str s -> Ok s
-  | _ -> Error (Printf.sprintf "field %S: expected string" key)
-
-let hex_float_field key j =
-  let* s = str_field key j in
-  match float_of_hex s with
-  | f -> Ok f
-  | exception _ -> Error (Printf.sprintf "field %S: bad float bits" key)
-
-let int_list_of key = function
-  | J.Arr xs ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | J.Num f :: tl -> go (int_of_float f :: acc) tl
-        | _ -> Error (Printf.sprintf "field %S: expected integers" key)
-      in
-      go [] xs
-  | _ -> Error (Printf.sprintf "field %S: expected array" key)
-
 let int_array_field key j =
-  let* v = field key j in
-  let* xs = int_list_of key v in
+  let* xs = int_list_field key j in
   Ok (Array.of_list xs)
 
-let arr_field key j =
-  let* v = field key j in
-  match v with
-  | J.Arr xs -> Ok xs
-  | _ -> Error (Printf.sprintf "field %S: expected array" key)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: tl ->
-      let* y = f x in
-      let* ys = map_result f tl in
-      Ok (y :: ys)
-
 let decode line =
-  let crc_marker = ",\"crc\":" in
-  let mlen = String.length crc_marker in
-  let rec scan i =
-    if i < 0 then None
-    else if String.length line - i >= mlen && String.sub line i mlen = crc_marker
-    then Some (String.sub line 0 i)
-    else scan (i - 1)
-  in
-  match scan (String.length line - mlen) with
-  | None -> Error "checkpoint: no crc field"
-  | Some prefix -> (
-          let* j = J.json_of_string line in
-          let* crc = int_field "crc" j in
-          if Crc32.string prefix <> crc then Error "checkpoint: crc mismatch"
-          else
-            let* v = int_field "v" j in
-            if v <> version then
-              Error (Printf.sprintf "checkpoint: unsupported version %d" v)
-            else
-              let* ck_wal_seq = int_field "wal_seq" j in
-              let* ck_time = hex_float_field "t" j in
-              let* r_prime = int_array_field "prime" j in
-              let* r_spare = int_array_field "spare" j in
-              let* failed_ints = int_array_field "failed" j in
-              let r_failed = Array.map (fun v -> v <> 0) failed_ints in
-              let* r_aplv_updates = int_field "aplv_updates" j in
-              let* conns_json = arr_field "conns" j in
-              let* r_conns =
-                map_result
-                  (fun cj ->
-                    let* r_id = int_field "id" cj in
-                    let* r_src = int_field "src" cj in
-                    let* r_dst = int_field "dst" cj in
-                    let* r_bw = int_field "bw" cj in
-                    let* deg = int_field "deg" cj in
-                    let* pv = field "p" cj in
-                    let* r_primary = int_list_of "p" pv in
-                    let* bv = arr_field "b" cj in
-                    let* r_backups = map_result (int_list_of "b") bv in
-                    Ok
-                      {
-                        Net_state.Serial.r_id;
-                        r_src;
-                        r_dst;
-                        r_bw;
-                        r_degraded = deg <> 0;
-                        r_primary;
-                        r_backups;
-                      })
-                  conns_json
-              in
-              let* stats = int_array_field "stats" j in
-              if Array.length stats <> 7 then Error "checkpoint: stats arity"
-              else
-                let* rstats = int_array_field "rstats" j in
-                if Array.length rstats <> 4 then Error "checkpoint: rstats arity"
-                else
-                  let* unprotected_time = hex_float_field "ut" j in
-                  let* rp_json = arr_field "reprotect" j in
-                  let* m_reprotect =
-                    map_result
-                      (fun ej ->
-                        let* rr_id = int_field "id" ej in
-                        let* rr_scheme = str_field "scheme" ej in
-                        let* rr_count = int_field "count" ej in
-                        let* rr_since = hex_float_field "since" ej in
-                        let* rr_trace = int_field "trace" ej in
-                        let* rr_span = int_field "span" ej in
-                        Ok
-                          {
-                            Manager.Serial.rr_id;
-                            rr_scheme;
-                            rr_count;
-                            rr_since;
-                            rr_trace;
-                            rr_span;
-                          })
-                      rp_json
-                  in
-                  let m_stats =
-                    {
-                      Manager.requests = stats.(0);
-                      accepted = stats.(1);
-                      rejected_no_primary = stats.(2);
-                      rejected_no_backup = stats.(3);
-                      released = stats.(4);
-                      degraded = stats.(5);
-                      unprotected = stats.(6);
-                    }
-                  in
-                  let m_rstats =
-                    {
-                      Manager.queued = rstats.(0);
-                      drained = rstats.(1);
-                      attempts = rstats.(2);
-                      abandoned = rstats.(3);
-                      unprotected_time;
-                    }
-                  in
-                  Ok
-                    {
-                      ck_wal_seq;
-                      ck_time;
-                      ck_repr =
-                        {
-                          Manager.Serial.m_state =
-                            {
-                              Net_state.Serial.r_prime;
-                              r_spare;
-                              r_failed;
-                              r_aplv_updates;
-                              r_conns;
-                            };
-                          m_stats;
-                          m_rstats;
-                          m_reprotect;
-                        };
-                    })
+  let* j = Result.map_error (fun e -> "checkpoint: " ^ e) (unseal line) in
+  let* v = int_field "v" j in
+  if v <> version then
+    Error (Printf.sprintf "checkpoint: unsupported version %d" v)
+  else
+    let* ck_wal_seq = int_field "wal_seq" j in
+    let* ck_time = hex_float_field "t" j in
+    let* r_prime = int_array_field "prime" j in
+    let* r_spare = int_array_field "spare" j in
+    let* failed_ints = int_array_field "failed" j in
+    let r_failed = Array.map (fun v -> v <> 0) failed_ints in
+    let* r_aplv_updates = int_field "aplv_updates" j in
+    let* conns_json = arr_field "conns" j in
+    let* r_conns =
+      map_result
+        (fun cj ->
+          let* r_id = int_field "id" cj in
+          let* r_src = int_field "src" cj in
+          let* r_dst = int_field "dst" cj in
+          let* r_bw = int_field "bw" cj in
+          let* deg = int_field "deg" cj in
+          let* r_primary = int_list_field "p" cj in
+          let* bv = arr_field "b" cj in
+          let* r_backups = map_result (int_list "b") bv in
+          Ok
+            {
+              Net_state.Serial.r_id;
+              r_src;
+              r_dst;
+              r_bw;
+              r_degraded = deg <> 0;
+              r_primary;
+              r_backups;
+            })
+        conns_json
+    in
+    let* stats = int_array_field "stats" j in
+    if Array.length stats <> 7 then Error "checkpoint: stats arity"
+    else
+      let* rstats = int_array_field "rstats" j in
+      if Array.length rstats <> 4 then Error "checkpoint: rstats arity"
+      else
+        let* unprotected_time = hex_float_field "ut" j in
+        let* rp_json = arr_field "reprotect" j in
+        let* m_reprotect =
+          map_result
+            (fun ej ->
+              let* rr_id = int_field "id" ej in
+              let* rr_scheme = str_field "scheme" ej in
+              let* rr_count = int_field "count" ej in
+              let* rr_since = hex_float_field "since" ej in
+              let* rr_trace = int_field "trace" ej in
+              let* rr_span = int_field "span" ej in
+              Ok
+                {
+                  Manager.Serial.rr_id;
+                  rr_scheme;
+                  rr_count;
+                  rr_since;
+                  rr_trace;
+                  rr_span;
+                })
+            rp_json
+        in
+        let m_stats =
+          {
+            Manager.requests = stats.(0);
+            accepted = stats.(1);
+            rejected_no_primary = stats.(2);
+            rejected_no_backup = stats.(3);
+            released = stats.(4);
+            degraded = stats.(5);
+            unprotected = stats.(6);
+          }
+        in
+        let m_rstats =
+          {
+            Manager.queued = rstats.(0);
+            drained = rstats.(1);
+            attempts = rstats.(2);
+            abandoned = rstats.(3);
+            unprotected_time;
+          }
+        in
+        Ok
+          {
+            ck_wal_seq;
+            ck_time;
+            ck_repr =
+              {
+                Manager.Serial.m_state =
+                  {
+                    Net_state.Serial.r_prime;
+                    r_spare;
+                    r_failed;
+                    r_aplv_updates;
+                    r_conns;
+                  };
+                m_stats;
+                m_rstats;
+                m_reprotect;
+              };
+          }
 
 (* ---- file I/O ------------------------------------------------------------ *)
 

@@ -13,9 +13,9 @@
    with hidden RNG state (bounded flooding under fault injection) is not
    checkpointed and must not be combined with crash recovery. *)
 
-module J = Dr_obs.Journal
 open Dr_sim
 open Drtp
+open Sealed_line
 
 type op =
   | Request of { conn : int; src : int; dst : int; bw : int; duration : float }
@@ -47,18 +47,6 @@ let op_name = function
 
 (* ---- encoding ------------------------------------------------------------ *)
 
-let hex_of_float f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
-let float_of_hex s = Int64.float_of_bits (Int64.of_string ("0x" ^ s))
-
-let add_ints b key links =
-  Buffer.add_string b (Printf.sprintf ",%S:[" key);
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int l))
-    links;
-  Buffer.add_char b ']'
-
 let add_op_fields b = function
   | Request r ->
       Buffer.add_string b
@@ -73,20 +61,14 @@ let add_op_fields b = function
   | Promote r ->
       Buffer.add_string b (Printf.sprintf ",\"conn\":%d,\"index\":%d" r.conn r.index)
   | Reroute r ->
-      Buffer.add_string b (Printf.sprintf ",\"conn\":%d" r.conn);
-      add_ints b "links" r.links
+      Buffer.add_string b (Printf.sprintf ",\"conn\":%d,\"links\":" r.conn);
+      add_ints b r.links
   | Replace_backups r ->
       Buffer.add_string b (Printf.sprintf ",\"conn\":%d,\"backups\":[" r.conn);
       List.iteri
         (fun i bk ->
           if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '[';
-          List.iteri
-            (fun j l ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (string_of_int l))
-            bk;
-          Buffer.add_char b ']')
+          add_ints b bk)
         r.backups;
       Buffer.add_char b ']'
   | Queue_reprotect r ->
@@ -101,60 +83,11 @@ let encode { seq; time; op } =
     (Printf.sprintf "{\"seq\":%d,\"t\":\"%s\",\"op\":\"%s\"" seq (hex_of_float time)
        (op_name op));
   add_op_fields b op;
-  let prefix = Buffer.contents b in
-  Printf.sprintf "%s,\"crc\":%d}" prefix (Crc32.string prefix)
+  seal (Buffer.contents b)
 
 (* ---- decoding ------------------------------------------------------------ *)
 
-let crc_marker = ",\"crc\":"
-
-let find_crc_prefix line =
-  (* The CRC is the last field we wrote, so search from the end. *)
-  let mlen = String.length crc_marker in
-  let rec scan i =
-    if i < 0 then None
-    else if String.length line - i >= mlen && String.sub line i mlen = crc_marker
-    then Some (String.sub line 0 i)
-    else scan (i - 1)
-  in
-  scan (String.length line - mlen)
-
 let ( let* ) r f = Result.bind r f
-
-let field key j =
-  match J.mem key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" key)
-
-let int_field key j =
-  let* v = field key j in
-  match v with
-  | J.Num f -> Ok (int_of_float f)
-  | _ -> Error (Printf.sprintf "field %S: expected integer" key)
-
-let str_field key j =
-  let* v = field key j in
-  match v with
-  | J.Str s -> Ok s
-  | _ -> Error (Printf.sprintf "field %S: expected string" key)
-
-let hex_float_field key j =
-  let* s = str_field key j in
-  match float_of_hex s with
-  | f -> Ok f
-  | exception _ -> Error (Printf.sprintf "field %S: bad float bits" key)
-
-let ints_field key j =
-  let* v = field key j in
-  match v with
-  | J.Arr xs ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | J.Num f :: tl -> go (int_of_float f :: acc) tl
-        | _ -> Error (Printf.sprintf "field %S: expected integer array" key)
-      in
-      go [] xs
-  | _ -> Error (Printf.sprintf "field %S: expected array" key)
 
 let decode_op name j =
   match name with
@@ -186,29 +119,12 @@ let decode_op name j =
       Ok (Promote { conn; index })
   | "reroute" ->
       let* conn = int_field "conn" j in
-      let* links = ints_field "links" j in
+      let* links = int_list_field "links" j in
       Ok (Reroute { conn; links })
   | "replace-backups" ->
       let* conn = int_field "conn" j in
-      let* v = field "backups" j in
-      let* backups =
-        match v with
-        | J.Arr xs ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | J.Arr ys :: tl ->
-                  let rec inner acc2 = function
-                    | [] -> Ok (List.rev acc2)
-                    | J.Num f :: t2 -> inner (int_of_float f :: acc2) t2
-                    | _ -> Error "field \"backups\": expected integer arrays"
-                  in
-                  let* one = inner [] ys in
-                  go (one :: acc) tl
-              | _ -> Error "field \"backups\": expected arrays"
-            in
-            go [] xs
-        | _ -> Error "field \"backups\": expected array"
-      in
+      let* bs = arr_field "backups" j in
+      let* backups = map_result (int_list "backups") bs in
       Ok (Replace_backups { conn; backups })
   | "queue-reprotect" ->
       let* conn = int_field "conn" j in
@@ -219,18 +135,12 @@ let decode_op name j =
   | other -> Error (Printf.sprintf "unknown op %S" other)
 
 let decode line =
-  match find_crc_prefix line with
-  | None -> Error "no crc field"
-  | Some prefix -> (
-      let* j = J.json_of_string line in
-      let* crc = int_field "crc" j in
-      if Crc32.string prefix <> crc then Error "crc mismatch"
-      else
-        let* seq = int_field "seq" j in
-        let* time = hex_float_field "t" j in
-        let* name = str_field "op" j in
-        let* op = decode_op name j in
-        Ok { seq; time; op })
+  let* j = unseal line in
+  let* seq = int_field "seq" j in
+  let* time = hex_float_field "t" j in
+  let* name = str_field "op" j in
+  let* op = decode_op name j in
+  Ok { seq; time; op }
 
 let load path =
   if not (Sys.file_exists path) then Ok []

@@ -10,6 +10,8 @@ module J = Dr_obs.Journal
 module Persist = Dr_persist.Persist
 module Wal = Dr_persist.Wal
 
+let t_batch = Tm.Timer.make "serve.batch"
+
 type config = {
   sv_batch : int;
   sv_reorder : bool;
@@ -396,9 +398,7 @@ let run ?pool config ~graph ~capacity ~spare_policy ~route ~scenario =
       | None -> ());
       let timings = Array.make n 0.0 in
       let verdicts =
-        Tm.Span.with_ ~name:"serve.batch"
-          ~attrs:[ ("size", Tm.Int n) ]
-        @@ fun () ->
+        Tm.Timer.time t_batch @@ fun () ->
         Batch.admit ~reorder:config.sv_reorder ~timings !service reqs
       in
       requests := !requests + n;

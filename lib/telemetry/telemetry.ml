@@ -5,11 +5,10 @@ let on = ref false
 let enabled () = !on
 let set_enabled b = on := b
 
-(* Domain-safety: worker domains (the dr_parallel pool) update metrics and
-   emit spans concurrently with the coordinator.  A single lock serialises
-   every mutation and sink write; it is only ever taken behind the [!on]
-   check, so the disabled fast path stays a load and a branch.  The lock
-   also keeps JSONL trace lines from interleaving mid-record. *)
+(* Domain-safety: worker domains (the dr_parallel pool) update metrics
+   concurrently with the coordinator.  A single lock serialises every
+   mutation; it is only ever taken behind the [!on] check, so the disabled
+   fast path stays a load and a branch. *)
 let mu = Mutex.create ()
 
 let locked f =
@@ -24,8 +23,6 @@ let locked f =
 
 let clock = ref Unix.gettimeofday
 let set_clock f = clock := f
-
-type attr = String of string | Int of int | Float of float | Bool of bool
 
 (* ---- registry ----------------------------------------------------------- *)
 
@@ -47,7 +44,7 @@ type timer = {
 
 (* One global registry per metric kind.  Metrics are created at
    module-initialisation time in the instrumented libraries, so the tables
-   stay small; lookups only happen at creation and per span. *)
+   stay small; lookups only happen at creation. *)
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
 let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
 let timers : (string, timer) Hashtbl.t = Hashtbl.create 32
@@ -144,12 +141,11 @@ module Timer = struct
         Hashtbl.add timers name t;
         t
 
-  (* Caller holds [mu] (or is single-domain by construction). *)
-  let record_unlocked t dur =
-    Summary.add t.t_summary dur;
-    match t.t_hist with None -> () | Some h -> Histogram.add h dur
-
-  let record t dur = if !on then locked @@ fun () -> record_unlocked t dur
+  let record t dur =
+    if !on then
+      locked @@ fun () ->
+      Summary.add t.t_summary dur;
+      match t.t_hist with None -> () | Some h -> Histogram.add h dur
 
   let time t f =
     if not !on then f ()
@@ -170,51 +166,7 @@ module Timer = struct
   let summary t = t.t_summary
 end
 
-(* ---- sinks -------------------------------------------------------------- *)
-
-type record =
-  | Span_record of {
-      name : string;
-      ts : float;
-      dur : float;
-      attrs : (string * attr) list;
-    }
-  | Event_record of { name : string; ts : float; attrs : (string * attr) list }
-
-let json_escape buf s =
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | ch when Char.code ch < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s
-
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  json_escape buf s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-(* JSON has no NaN/Infinity literals; clamp them to null. *)
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v else "null"
-
-let json_attr = function
-  | String s -> json_string s
-  | Int n -> string_of_int n
-  | Float v -> json_float v
-  | Bool b -> string_of_bool b
-
-let json_attrs attrs =
-  String.concat ","
-    (List.map (fun (k, v) -> json_string k ^ ":" ^ json_attr v) attrs)
+(* ---- snapshots ---------------------------------------------------------- *)
 
 let sorted_bindings tbl =
   Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
@@ -230,89 +182,6 @@ let touched_gauges () =
 let touched_timers () =
   List.filter (fun t -> Summary.count t.t_summary > 0) (sorted_bindings timers)
   |> List.sort (fun a b -> compare a.t_name b.t_name)
-
-let dump_metrics_jsonl oc =
-  List.iter
-    (fun c ->
-      Printf.fprintf oc "{\"type\":\"counter\",\"name\":%s,\"value\":%d}\n"
-        (json_string c.c_name) c.c_value)
-    (touched_counters ());
-  List.iter
-    (fun g ->
-      Printf.fprintf oc "{\"type\":\"gauge\",\"name\":%s,\"value\":%s,\"max\":%s}\n"
-        (json_string g.g_name) (json_float g.g_value) (json_float g.g_max))
-    (touched_gauges ());
-  List.iter
-    (fun t ->
-      let s = t.t_summary in
-      Printf.fprintf oc
-        "{\"type\":\"timer\",\"name\":%s,\"count\":%d,\"total_s\":%s,\"mean_s\":%s,\"min_s\":%s,\"max_s\":%s}\n"
-        (json_string t.t_name) (Summary.count s)
-        (json_float (Summary.mean s *. float_of_int (Summary.count s)))
-        (json_float (Summary.mean s))
-        (json_float (Summary.min_value s))
-        (json_float (Summary.max_value s)))
-    (touched_timers ())
-
-module Sink = struct
-  type t = { emit : record -> unit; close_fn : unit -> unit }
-
-  let noop = { emit = (fun _ -> ()); close_fn = (fun () -> ()) }
-
-  let jsonl oc =
-    let emit = function
-      | Span_record { name; ts; dur; attrs } ->
-          Printf.fprintf oc
-            "{\"type\":\"span\",\"name\":%s,\"ts\":%s,\"dur_s\":%s,\"attrs\":{%s}}\n"
-            (json_string name) (json_float ts) (json_float dur) (json_attrs attrs)
-      | Event_record { name; ts; attrs } ->
-          Printf.fprintf oc "{\"type\":\"event\",\"name\":%s,\"ts\":%s,\"attrs\":{%s}}\n"
-            (json_string name) (json_float ts) (json_attrs attrs)
-    in
-    let close_fn () =
-      dump_metrics_jsonl oc;
-      close_out oc
-    in
-    { emit; close_fn }
-
-  let current = ref noop
-  let set s = current := s
-
-  let close () =
-    let s = !current in
-    current := noop;
-    s.close_fn ()
-end
-
-module Span = struct
-  let with_ ?(attrs = []) ~name f =
-    if not !on then f ()
-    else begin
-      let timer = Timer.make name in
-      let t0 = !clock () in
-      let finish () =
-        let dur = !clock () -. t0 in
-        locked @@ fun () ->
-        Timer.record_unlocked timer dur;
-        (!Sink.current).Sink.emit (Span_record { name; ts = t0; dur; attrs })
-      in
-      match f () with
-      | v ->
-          finish ();
-          v
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          finish ();
-          Printexc.raise_with_backtrace e bt
-    end
-
-  let event ?(attrs = []) name =
-    if !on then begin
-      let ts = !clock () in
-      locked @@ fun () ->
-      (!Sink.current).Sink.emit (Event_record { name; ts; attrs })
-    end
-end
 
 (* ---- GC / memory high-water --------------------------------------------- *)
 

@@ -1,4 +1,4 @@
-(** Telemetry: named metrics, tracing spans and pluggable sinks.
+(** Telemetry: named metrics.
 
     The simulator's observability layer.  Instrumented modules create
     metrics once at module-initialisation time and update them from their
@@ -14,19 +14,18 @@
     - {b timers} — duration accumulators backed by {!Dr_stats.Summary}
       (and optionally a {!Dr_stats.Histogram}).
 
-    Spans ({!Span.with_}) time a scope, feed the timer of the same name
-    and emit one record to the current {!Sink}.  Timestamps come from the
-    installed clock ({!set_clock}): [Unix.gettimeofday] by default, or the
-    simulation clock when a driver installs it.
+    {!Timer.time} takes its timestamps from the installed clock
+    ({!set_clock}): [Unix.gettimeofday] by default, or the simulation
+    clock when a driver installs it.  Causal spans over a run live in the
+    flight-recorder journal ({!Dr_obs.Journal.Causal}).
 
-    {b Domain-safety.}  Metric updates, metric registration and sink
-    emission are serialised by an internal lock, so instrumented code may
-    run in {!Dr_parallel} worker domains: counts are exact and JSONL
-    trace lines never interleave.  The lock is only taken behind the
-    enabled check — the disabled fast path is still a single load and
-    branch.  {!set_enabled}, {!set_clock}, {!Sink.set} and {!Sink.close}
-    remain coordinator-only operations: call them from the main domain
-    while no worker is running. *)
+    {b Domain-safety.}  Metric updates and metric registration are
+    serialised by an internal lock, so instrumented code may run in
+    {!Dr_parallel} worker domains: counts are exact.  The lock is only
+    taken behind the enabled check — the disabled fast path is still a
+    single load and branch.  {!set_enabled} and {!set_clock} remain
+    coordinator-only operations: call them from the main domain while no
+    worker is running. *)
 
 val on : bool ref
 (** The master switch, exposed as a ref so call sites can guard compound
@@ -38,16 +37,13 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 val set_clock : (unit -> float) -> unit
-(** Install the timestamp source used by spans and {!Timer.time}.  The
+(** Install the timestamp source used by {!Timer.time}.  The
     default is [Unix.gettimeofday]; a discrete-event driver may install
     its simulated clock instead. *)
 
 val reset : unit -> unit
-(** Zero every registered metric (registrations survive; the sink and the
-    enabled flag are untouched).  Meant for tests and multi-run drivers. *)
-
-(** Attribute values attached to spans and events. *)
-type attr = String of string | Int of int | Float of float | Bool of bool
+(** Zero every registered metric (registrations survive; the enabled flag
+    is untouched).  Meant for tests and multi-run drivers. *)
 
 module Counter : sig
   type t
@@ -93,37 +89,6 @@ module Timer : sig
   val count : t -> int
   val total_s : t -> float
   val summary : t -> Dr_stats.Summary.t
-end
-
-module Span : sig
-  val with_ : ?attrs:(string * attr) list -> name:string -> (unit -> 'a) -> 'a
-  (** Time the scope: feeds the {!Timer} registered under [name] and emits
-      one span record (name, start timestamp, duration, attributes) to the
-      current sink.  Exceptions propagate after the span is recorded.
-      While disabled this is a tail call to the thunk. *)
-
-  val event : ?attrs:(string * attr) list -> string -> unit
-  (** Emit an instantaneous event record to the sink (no timer). *)
-end
-
-module Sink : sig
-  type t
-  (** Where span/event records go.  Exactly one sink is current at a time;
-      the default {!noop} drops everything. *)
-
-  val noop : t
-
-  val jsonl : out_channel -> t
-  (** One JSON object per line.  Spans:
-      [{"type":"span","name":...,"ts":...,"dur_s":...,"attrs":{...}}];
-      events are the same without ["dur_s"].  {!close} appends a snapshot
-      of every registered metric
-      ([{"type":"counter"|"gauge"|"timer",...}]) and closes the channel. *)
-
-  val set : t -> unit
-  val close : unit -> unit
-  (** Flush the current sink (for {!jsonl}: dump the metric snapshot and
-      close the channel) and restore {!noop}. *)
 end
 
 val observe_gc : unit -> unit

@@ -24,6 +24,13 @@ let check_inv state =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "invariant violated: %s" msg
 
+(* [replace_backups_drop] with a set that fits keeps every member. *)
+let check_kept g requested kept =
+  Alcotest.(check (list (list int)))
+    "every requested backup kept"
+    (List.map (Path.nodes g) requested)
+    (List.map (Path.nodes g) kept)
+
 let test_admit_reserves () =
   let g, st = state () in
   let primary = path g [ 0; 1; 2 ] and backup = path g [ 0; 3; 4; 5; 2 ] in
@@ -229,14 +236,15 @@ let test_replace_backup () =
   ignore
     (Net_state.admit st ~id:1 ~bw:1 ~primary:(path g [ 0; 1; 2 ])
        ~backups:[ path g [ 0; 3; 4; 5; 2 ] ]);
-  Net_state.replace_backups st ~id:1 ~backups:[ path g [ 0; 3; 4; 1; 2 ] ];
+  let backups = [ path g [ 0; 3; 4; 1; 2 ] ] in
+  check_kept g backups (Net_state.replace_backups_drop st ~id:1 ~backups);
   let conn = Option.get (Net_state.find st 1) in
   Alcotest.(check (list int)) "new backup installed" [ 0; 3; 4; 1; 2 ]
     (Path.nodes g (List.hd conn.Net_state.backups));
   Alcotest.(check int) "old backup link spare gone" 0
     (Resources.spare_bw (Net_state.resources st) (link g 4 5));
   check_inv st;
-  Net_state.replace_backups st ~id:1 ~backups:[];
+  check_kept g [] (Net_state.replace_backups_drop st ~id:1 ~backups:[]);
   Alcotest.(check int) "unprotected: no spare" 0
     (Resources.total_spare (Net_state.resources st));
   check_inv st

@@ -292,63 +292,41 @@ let test_jobs_byte_identical () =
   Alcotest.(check bool) "jobs=4 journal byte-identical to jobs=1" true
     (String.equal s1 s4)
 
-(* Telemetry and journal together under a parallel sweep: the JSONL trace
-   must stay line-wise well-formed (worker spans/events never interleave
-   mid-record), and the span-name set must match a sequential run. *)
-let trace_lines ~jobs =
+(* Telemetry and journal together under a parallel sweep: every journal
+   line stays well-formed and matches a sequential run, and the per-replay
+   timer counts every task whichever domain ran it. *)
+let traced_sweep ~jobs =
   let tasks = Lazy.force sweep_tasks in
-  let file = Filename.temp_file "drtp_obs_trace" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
   Tm.reset ();
   Tm.set_enabled true;
   J.set_enabled true;
   let buf = J.create () in
   Fun.protect
     ~finally:(fun () ->
-      Tm.Sink.close ();
       Tm.set_enabled false;
       J.set_enabled false;
       Tm.reset ())
     (fun () ->
-      Tm.Sink.set (Tm.Sink.jsonl (open_out file));
       J.with_buffer buf (fun () ->
           Pool.with_pool ~jobs (fun pool ->
               ignore (Runner.run_many ~pool small_cfg tasks)));
-      Tm.Sink.close ();
-      let ic = open_in file in
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-      in
-      go [])
-
-let span_names lines =
-  List.sort_uniq compare
-    (List.filter_map
-       (fun line ->
-         match J.json_of_string line with
-         | Ok j -> (
-             match (J.mem "type" j, J.mem "name" j) with
-             | Some (J.Str "span"), Some (J.Str name) -> Some name
-             | _ -> None)
-         | Error _ -> None)
-       lines)
+      let lines = String.split_on_char '\n' (J.to_jsonl_string buf) in
+      (List.filter (( <> ) "") lines, Tm.Timer.count (Tm.Timer.make "runner.run")))
 
 let test_trace_under_jobs () =
-  let l1 = trace_lines ~jobs:1 in
-  let l4 = trace_lines ~jobs:4 in
+  let tasks = Array.length (Lazy.force sweep_tasks) in
+  let l1, runs1 = traced_sweep ~jobs:1 in
+  let l4, runs4 = traced_sweep ~jobs:4 in
   Alcotest.(check bool) "trace is non-trivial" true (List.length l4 > 0);
   List.iteri
     (fun i line ->
       match J.json_of_string line with
       | Ok _ -> ()
-      | Error msg -> Alcotest.failf "jobs=4 trace line %d malformed: %s" i msg)
+      | Error msg -> Alcotest.failf "jobs=4 journal line %d malformed: %s" i msg)
     l4;
-  Alcotest.(check (list string)) "same span names as sequential run"
-    (span_names l1) (span_names l4)
+  Alcotest.(check bool) "same journal as sequential run" true (l1 = l4);
+  Alcotest.(check int) "runner.run timed every task, jobs=1" tasks runs1;
+  Alcotest.(check int) "runner.run timed every task, jobs=4" tasks runs4
 
 let suite =
   [

@@ -115,7 +115,9 @@ let soak ~steps ~seed ~scheme graph =
                   let backups =
                     Routing.find_backups scheme state ~primary ~bw ~count:2
                   in
-                  Net_state.replace_backups state ~id ~backups
+                  let kept = Net_state.replace_backups_drop state ~id ~backups in
+                  if List.map Path.links kept <> List.map Path.links backups then
+                    Alcotest.fail "replace_backups_drop dropped a fresh backup"
                 else
                   (* Reroute: nudge the search away from the current route by
                      failing its first edge, then restore it. *)

@@ -1,12 +1,11 @@
 module Tm = Dr_telemetry.Telemetry
 
 (* Every test leaves the global telemetry state as it found it: disabled,
-   zeroed, noop sink, wall-clock timestamps. *)
+   zeroed, wall-clock timestamps. *)
 let scoped f =
   Tm.reset ();
   Tm.set_enabled true;
   Fun.protect f ~finally:(fun () ->
-      Tm.Sink.close ();
       Tm.set_enabled false;
       Tm.set_clock Unix.gettimeofday;
       Tm.reset ())
@@ -77,124 +76,9 @@ let test_timer_time () =
   Alcotest.(check int) "disabled: thunk still runs" 7 r';
   Alcotest.(check int) "disabled: nothing recorded" 2 (Tm.Timer.count t)
 
-let test_span_feeds_timer () =
-  scoped @@ fun () ->
-  let now = ref 0.0 in
-  Tm.set_clock (fun () -> !now);
-  let r =
-    Tm.Span.with_ ~name:"test.span" (fun () ->
-        now := !now +. 0.125;
-        "done")
-  in
-  Alcotest.(check string) "result" "done" r;
-  let t = Tm.Timer.make "test.span" in
-  Alcotest.(check int) "span recorded on timer of same name" 1
-    (Tm.Timer.count t);
-  Alcotest.(check (float 1e-9)) "span duration" 0.125 (Tm.Timer.total_s t)
-
-let read_lines file =
-  let ic = open_in file in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
-
-let contains line sub = Astring.String.is_infix ~affix:sub line
-
-(* Cheap well-formedness check for one JSONL line: object braces balance
-   and quotes pair up (sufficient for output we generate ourselves). *)
-let looks_like_json line =
-  String.length line >= 2
-  && line.[0] = '{'
-  && line.[String.length line - 1] = '}'
-  &&
-  let depth = ref 0 and quotes = ref 0 and ok = ref true in
-  String.iteri
-    (fun i c ->
-      let escaped = i > 0 && line.[i - 1] = '\\' in
-      match c with
-      | '"' when not escaped -> incr quotes
-      | '{' when !quotes mod 2 = 0 -> incr depth
-      | '}' when !quotes mod 2 = 0 ->
-          decr depth;
-          if !depth < 0 then ok := false
-      | _ -> ())
-    line;
-  !ok && !depth = 0 && !quotes mod 2 = 0
-
-let test_jsonl_sink () =
-  scoped @@ fun () ->
-  let now = ref 10.0 in
-  Tm.set_clock (fun () -> !now);
-  let file = Filename.temp_file "drtp_test_trace" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-  Tm.Sink.set (Tm.Sink.jsonl (open_out file));
-  let c = Tm.Counter.make "sink.counter" in
-  Tm.Counter.add c 3;
-  ignore
-    (Tm.Span.with_ ~name:"sink.span"
-       ~attrs:[ ("scheme", Tm.String "D-LSR"); ("n", Tm.Int 2) ]
-       (fun () ->
-         now := !now +. 0.5;
-         ()));
-  Tm.Span.event "sink.event" ~attrs:[ ("ok", Tm.Bool true) ];
-  Tm.Sink.close ();
-  let lines = read_lines file in
-  Alcotest.(check bool) "every line is a JSON object" true
-    (List.for_all looks_like_json lines);
-  let span =
-    match List.filter (fun l -> contains l {|"type":"span"|}) lines with
-    | [ l ] -> l
-    | other -> Alcotest.failf "expected 1 span line, got %d" (List.length other)
-  in
-  List.iter
-    (fun sub ->
-      Alcotest.(check bool) (Printf.sprintf "span has %s" sub) true
-        (contains span sub))
-    [ {|"name":"sink.span"|}; {|"dur_s":|}; {|"scheme":"D-LSR"|}; {|"n":2|} ];
-  let event =
-    match List.filter (fun l -> contains l {|"type":"event"|}) lines with
-    | [ l ] -> l
-    | other ->
-        Alcotest.failf "expected 1 event line, got %d" (List.length other)
-  in
-  Alcotest.(check bool) "event has no duration" false (contains event {|"dur_s"|});
-  Alcotest.(check bool) "event carries attrs" true (contains event {|"ok":true|});
-  (* close () appended the metric snapshot *)
-  Alcotest.(check bool) "counter snapshot present" true
-    (List.exists
-       (fun l ->
-         contains l {|"type":"counter"|}
-         && contains l {|"name":"sink.counter"|}
-         && contains l {|"value":3|})
-       lines);
-  Alcotest.(check bool) "timer snapshot present" true
-    (List.exists
-       (fun l ->
-         contains l {|"type":"timer"|} && contains l {|"name":"sink.span"|})
-       lines)
-
-let test_disabled_emits_nothing () =
-  scoped @@ fun () ->
-  Tm.set_enabled false;
-  let file = Filename.temp_file "drtp_test_trace" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-  Tm.Sink.set (Tm.Sink.jsonl (open_out file));
-  ignore (Tm.Span.with_ ~name:"quiet.span" (fun () -> ()));
-  Tm.Span.event "quiet.event";
-  Tm.Sink.close ();
-  Alcotest.(check bool) "no span/event records while disabled" true
-    (List.for_all
-       (fun l -> not (contains l {|"type":"span"|} || contains l {|"type":"event"|}))
-       (read_lines file))
-
-(* The load-bearing property: switching telemetry on (including a JSONL
-   sink) must not perturb a measured run in any way.  The instrumentation
-   only observes — identical inputs must give bit-identical measurements. *)
+(* The load-bearing property: switching telemetry on must not perturb a
+   measured run in any way.  The instrumentation only observes — identical
+   inputs must give bit-identical measurements. *)
 let prop_measurements_unaffected =
   let module Config = Dr_exp.Config in
   let module Runner = Dr_exp.Runner in
@@ -226,18 +110,14 @@ let prop_measurements_unaffected =
       let run () = Runner.run cfg ~graph ~scenario ~scheme in
       Tm.set_enabled false;
       let off = run () in
-      let file = Filename.temp_file "drtp_prop_trace" ".jsonl" in
       let on =
         Fun.protect
           ~finally:(fun () ->
-            Tm.Sink.close ();
             Tm.set_enabled false;
-            Tm.reset ();
-            Sys.remove file)
+            Tm.reset ())
           (fun () ->
             Tm.reset ();
             Tm.set_enabled true;
-            Tm.Sink.set (Tm.Sink.jsonl (open_out file));
             run ())
       in
       compare off on = 0)
@@ -250,10 +130,6 @@ let suite =
         Alcotest.test_case "gauge high-water" `Quick test_gauge;
         Alcotest.test_case "timer record" `Quick test_timer;
         Alcotest.test_case "timer time + exceptions" `Quick test_timer_time;
-        Alcotest.test_case "span feeds timer" `Quick test_span_feeds_timer;
-        Alcotest.test_case "jsonl sink shape" `Quick test_jsonl_sink;
-        Alcotest.test_case "disabled sink emits nothing" `Quick
-          test_disabled_emits_nothing;
         QCheck_alcotest.to_alcotest prop_measurements_unaffected;
       ] );
   ]
